@@ -11,6 +11,7 @@
 #include "ssm/changepoint.h"
 #include "ssm/fit.h"
 #include "ssm/kalman.h"
+#include "ssm/kalman_fixed.h"
 #include "synth/generator.h"
 #include "synth/scenario.h"
 
@@ -103,6 +104,71 @@ void BM_KalmanFilterMultiRegressor(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KalmanFilterMultiRegressor)->Arg(1)->Arg(3)->Arg(5);
+
+// The filter path fits actually run: the RunFilter*Kernel dispatch with
+// FitOptions' default kernel, which resolves to the compiled fixed
+// kernel at the structural dimensions (1 = level, 5 = level + two trig
+// harmonics, 12 = level + dummy seasonal). Arg is the state dimension;
+// the series is the paper's 43 months. The BM_KalmanFilter* benches
+// above time the dynamic path, which fits use only at other dimensions.
+ssm::StateSpaceModel StructuralModelForDim(int dim) {
+  ssm::StructuralSpec spec;
+  spec.seasonal = dim > 1;
+  if (dim == 5) {
+    spec.seasonal_form = ssm::SeasonalForm::kTrigonometric;
+    spec.harmonics = 2;
+  }
+  auto model = ssm::BuildStructuralModel(spec, {1.0, 0.1, 0.01});
+  return std::move(model).value();
+}
+
+constexpr int kPaperMonths = 43;
+
+void BM_KalmanKernelFilter(benchmark::State& state) {
+  const auto series = MakeSeries(kPaperMonths, 2);
+  const auto model = StructuralModelForDim(static_cast<int>(state.range(0)));
+  const ssm::KalmanKernel kernel = ssm::FitOptions{}.kernel;
+  for (auto _ : state) {
+    auto result = ssm::RunFilterKernel(kernel, model, series);
+    benchmark::DoNotOptimize(result->log_likelihood);
+  }
+  state.SetItemsProcessed(state.iterations() * kPaperMonths);
+}
+BENCHMARK(BM_KalmanKernelFilter)->Arg(1)->Arg(5)->Arg(12);
+
+void BM_KalmanKernelRegression(benchmark::State& state) {
+  const auto series = MakeSeries(kPaperMonths, 3);
+  const auto regressor =
+      ssm::SlopeShiftRegressor(kPaperMonths / 2, kPaperMonths);
+  const auto model = StructuralModelForDim(static_cast<int>(state.range(0)));
+  const ssm::KalmanKernel kernel = ssm::FitOptions{}.kernel;
+  for (auto _ : state) {
+    auto result =
+        ssm::RunFilterWithRegressionKernel(kernel, model, series, regressor);
+    benchmark::DoNotOptimize(result->profiled_log_likelihood);
+  }
+  state.SetItemsProcessed(state.iterations() * kPaperMonths);
+}
+BENCHMARK(BM_KalmanKernelRegression)->Arg(1)->Arg(5)->Arg(12);
+
+void BM_KalmanKernelRegressors(benchmark::State& state) {
+  // Two interventions, as in a multi-break fit.
+  const auto series = MakeSeries(kPaperMonths, 3);
+  const std::vector<std::vector<double>> regressors = {
+      ssm::InterventionRegressor({12, ssm::InterventionKind::kSlopeShift},
+                                 kPaperMonths),
+      ssm::InterventionRegressor({26, ssm::InterventionKind::kLevelShift},
+                                 kPaperMonths)};
+  const auto model = StructuralModelForDim(static_cast<int>(state.range(0)));
+  const ssm::KalmanKernel kernel = ssm::FitOptions{}.kernel;
+  for (auto _ : state) {
+    auto result =
+        ssm::RunFilterWithRegressorsKernel(kernel, model, series, regressors);
+    benchmark::DoNotOptimize(result->profiled_log_likelihood);
+  }
+  state.SetItemsProcessed(state.iterations() * kPaperMonths);
+}
+BENCHMARK(BM_KalmanKernelRegressors)->Arg(1)->Arg(5)->Arg(12);
 
 void BM_StructuralFitSeasonal(benchmark::State& state) {
   const auto series = MakeSeries(43, 4);

@@ -17,19 +17,77 @@ void ComputeRqrInto(const StateSpaceModel& model, KalmanWorkspace& ws) {
   la::MultiplyInto(ws.tmp_matrix, ws.tmp_matrix2, &ws.rqr);
 }
 
-// covariance <- T * source * T' + rqr, symmetrized; same accumulation
-// order as the operator chain it replaces.
-void AdvanceCovariance(const StateSpaceModel& model, KalmanWorkspace& ws,
-                       const la::Matrix& source) {
-  la::MultiplyInto(model.transition, source, &ws.tmp_matrix);
-  la::MultiplyInto(ws.tmp_matrix, ws.transition_transpose,
-                   &ws.next_covariance);
+// next_covariance <- T * source * T' + rqr, symmetrized.
+void PredictCovariance(KalmanWorkspace& ws, const la::Matrix& source) {
+  ws.transition.TimesMatrix(source, &ws.tmp_matrix);
+  ws.transition.MatrixTimesTranspose(ws.tmp_matrix, &ws.next_covariance);
   ws.next_covariance += ws.rqr;
   ws.next_covariance.Symmetrize();
+}
+
+// covariance <- T * source * T' + rqr, symmetrized.
+void AdvanceCovariance(KalmanWorkspace& ws, const la::Matrix& source) {
+  PredictCovariance(ws, source);
   std::swap(ws.covariance, ws.next_covariance);
 }
 
 }  // namespace
+
+void SparseTransition::Assign(const la::Matrix& transition) {
+  const std::size_t dim = transition.rows();
+  row_begin_.assign(1, 0);
+  cols_.clear();
+  values_.clear();
+  for (std::size_t r = 0; r < dim; ++r) {
+    for (std::size_t c = 0; c < dim; ++c) {
+      if (transition(r, c) == 0.0) continue;
+      cols_.push_back(c);
+      values_.push_back(transition(r, c));
+    }
+    row_begin_.push_back(cols_.size());
+  }
+}
+
+void SparseTransition::TimesVector(const la::Vector& v,
+                                   la::Vector* out) const {
+  const std::size_t dim = row_begin_.size() - 1;
+  out->Resize(dim);
+  for (std::size_t r = 0; r < dim; ++r) {
+    double total = 0.0;
+    for (std::size_t i = row_begin_[r]; i < row_begin_[r + 1]; ++i) {
+      total += values_[i] * v[cols_[i]];
+    }
+    (*out)[r] = total;
+  }
+}
+
+void SparseTransition::TimesMatrix(const la::Matrix& m,
+                                   la::Matrix* out) const {
+  const std::size_t dim = row_begin_.size() - 1;
+  out->Resize(dim, dim);
+  for (std::size_t r = 0; r < dim; ++r) {
+    for (std::size_t i = row_begin_[r]; i < row_begin_[r + 1]; ++i) {
+      const double t_rk = values_[i];
+      const std::size_t k = cols_[i];
+      for (std::size_t c = 0; c < dim; ++c) (*out)(r, c) += t_rk * m(k, c);
+    }
+  }
+}
+
+void SparseTransition::MatrixTimesTranspose(const la::Matrix& m,
+                                            la::Matrix* out) const {
+  const std::size_t dim = row_begin_.size() - 1;
+  out->Resize(dim, dim);
+  for (std::size_t r = 0; r < dim; ++r) {
+    for (std::size_t c = 0; c < dim; ++c) {
+      double total = 0.0;
+      for (std::size_t i = row_begin_[c]; i < row_begin_[c + 1]; ++i) {
+        total += m(r, cols_[i]) * values_[i];
+      }
+      (*out)(r, c) = total;
+    }
+  }
+}
 
 std::string_view KalmanKernelName(KalmanKernel kernel) {
   switch (kernel) {
@@ -68,7 +126,7 @@ Result<FilterResult> RunFilter(const StateSpaceModel& model,
   KalmanWorkspace& ws = KalmanWorkspace::ThreadLocal();
   ++ws.acquires;
   ComputeRqrInto(model, ws);
-  la::TransposeInto(model.transition, &ws.transition_transpose);
+  ws.transition.Assign(model.transition);
   ws.state = model.initial_state;                // a_{t|t-1}
   ws.covariance = model.initial_covariance;      // P_{t|t-1}
 
@@ -114,12 +172,12 @@ Result<FilterResult> RunFilter(const StateSpaceModel& model,
       result.innovations[t] = std::numeric_limits<double>::quiet_NaN();
       // No update; just predict forward. A gap invalidates the steady
       // state (the covariance grows through it).
-      la::MultiplyInto(model.transition, ws.state, &ws.tmp_vector);
+      ws.transition.TimesVector(ws.state, &ws.tmp_vector);
       std::swap(ws.state, ws.tmp_vector);
       if (steady) {
         steady = false;
       }
-      AdvanceCovariance(model, ws, ws.covariance);
+      AdvanceCovariance(ws, ws.covariance);
       continue;
     }
 
@@ -147,7 +205,7 @@ Result<FilterResult> RunFilter(const StateSpaceModel& model,
     for (std::size_t i = 0; i < ws.filtered.size(); ++i) {
       ws.filtered[i] += pz[i] * gain_scale;
     }
-    la::MultiplyInto(model.transition, ws.filtered, &ws.tmp_vector);
+    ws.transition.TimesVector(ws.filtered, &ws.tmp_vector);
     std::swap(ws.state, ws.tmp_vector);
     if (steady) continue;  // Covariance frozen.
 
@@ -158,12 +216,7 @@ Result<FilterResult> RunFilter(const StateSpaceModel& model,
             pz[r] * pz[c] / prediction_variance;
       }
     }
-    la::MultiplyInto(model.transition, ws.filtered_covariance,
-                     &ws.tmp_matrix);
-    la::MultiplyInto(ws.tmp_matrix, ws.transition_transpose,
-                     &ws.next_covariance);
-    ws.next_covariance += ws.rqr;
-    ws.next_covariance.Symmetrize();
+    PredictCovariance(ws, ws.filtered_covariance);
     if (may_go_steady) {
       // Max-abs of (next - current) without forming the difference;
       // identical to the matrix-difference form value by value.
@@ -221,7 +274,7 @@ Result<RegressionFilterResult> RunFilterWithRegression(
   KalmanWorkspace& ws = KalmanWorkspace::ThreadLocal();
   ++ws.acquires;
   ComputeRqrInto(model, ws);
-  la::TransposeInto(model.transition, &ws.transition_transpose);
+  ws.transition.Assign(model.transition);
   ws.state = model.initial_state;
   ws.state_aux.Resize(model.state_dim());
   ws.covariance = model.initial_covariance;
@@ -251,11 +304,11 @@ Result<RegressionFilterResult> RunFilterWithRegression(
     const double x = observations[t];
     if (IsMissing(x)) {
       base.innovations[t] = std::numeric_limits<double>::quiet_NaN();
-      la::MultiplyInto(model.transition, ws.state, &ws.tmp_vector);
+      ws.transition.TimesVector(ws.state, &ws.tmp_vector);
       std::swap(ws.state, ws.tmp_vector);
-      la::MultiplyInto(model.transition, ws.state_aux, &ws.tmp_vector);
+      ws.transition.TimesVector(ws.state_aux, &ws.tmp_vector);
       std::swap(ws.state_aux, ws.tmp_vector);
-      AdvanceCovariance(model, ws, ws.covariance);
+      AdvanceCovariance(ws, ws.covariance);
       continue;
     }
     if (!(prediction_variance > 0.0) ||
@@ -295,9 +348,9 @@ Result<RegressionFilterResult> RunFilterWithRegression(
             pz[r] * pz[c] / prediction_variance;
       }
     }
-    la::MultiplyInto(model.transition, ws.filtered, &ws.state);
-    la::MultiplyInto(model.transition, ws.filtered_aux, &ws.state_aux);
-    AdvanceCovariance(model, ws, ws.filtered_covariance);
+    ws.transition.TimesVector(ws.filtered, &ws.state);
+    ws.transition.TimesVector(ws.filtered_aux, &ws.state_aux);
+    AdvanceCovariance(ws, ws.filtered_covariance);
   }
 
   base.log_likelihood = log_likelihood;
@@ -347,7 +400,7 @@ Result<MultiRegressionFilterResult> RunFilterWithRegressors(
   KalmanWorkspace& ws = KalmanWorkspace::ThreadLocal();
   ++ws.acquires;
   ComputeRqrInto(model, ws);
-  la::TransposeInto(model.transition, &ws.transition_transpose);
+  ws.transition.Assign(model.transition);
   ws.state = model.initial_state;
   std::vector<la::Vector> state_w(k, la::Vector(dim));
   ws.covariance = model.initial_covariance;
@@ -373,13 +426,13 @@ Result<MultiRegressionFilterResult> RunFilterWithRegressors(
     const double x = observations[t];
     if (IsMissing(x)) {
       base.innovations[t] = std::numeric_limits<double>::quiet_NaN();
-      la::MultiplyInto(model.transition, ws.state, &ws.tmp_vector);
+      ws.transition.TimesVector(ws.state, &ws.tmp_vector);
       std::swap(ws.state, ws.tmp_vector);
       for (auto& state : state_w) {
-        la::MultiplyInto(model.transition, state, &ws.tmp_vector);
+        ws.transition.TimesVector(state, &ws.tmp_vector);
         std::swap(state, ws.tmp_vector);
       }
-      AdvanceCovariance(model, ws, ws.covariance);
+      AdvanceCovariance(ws, ws.covariance);
       continue;
     }
     if (!(prediction_variance > 0.0) ||
@@ -419,7 +472,7 @@ Result<MultiRegressionFilterResult> RunFilterWithRegressors(
       for (std::size_t i = 0; i < dim; ++i) {
         state_w[j][i] += pz[i] * gain_w;
       }
-      la::MultiplyInto(model.transition, state_w[j], &ws.tmp_vector);
+      ws.transition.TimesVector(state_w[j], &ws.tmp_vector);
       std::swap(state_w[j], ws.tmp_vector);
     }
     ws.filtered_covariance = ws.covariance;
@@ -429,8 +482,8 @@ Result<MultiRegressionFilterResult> RunFilterWithRegressors(
             pz[r] * pz[c] / prediction_variance;
       }
     }
-    la::MultiplyInto(model.transition, ws.filtered, &ws.state);
-    AdvanceCovariance(model, ws, ws.filtered_covariance);
+    ws.transition.TimesVector(ws.filtered, &ws.state);
+    AdvanceCovariance(ws, ws.filtered_covariance);
   }
 
   base.log_likelihood = log_likelihood;

@@ -61,6 +61,33 @@ struct FilterResult {
   la::Matrix final_covariance;
 };
 
+/// Nonzeros of a transition matrix T, row by row, each row in
+/// increasing column order (compressed sparse rows). Every filter body
+/// forms T·a, T·P and (T·P)·T' from this table instead of dense loops
+/// over all dim^2 entries; the dummy-seasonal T has 22 nonzeros out of
+/// 144. The products are bit-identical to their dense forms: for finite
+/// operands a skipped exact-zero term leaves the running sum unchanged
+/// (the sum starts at +0.0 and can never become -0.0, so adding a
+/// signed zero is a no-op), and the remaining terms accumulate in the
+/// same increasing-column order.
+class SparseTransition {
+ public:
+  /// Rebuilds the table from a square T, reusing the buffers.
+  void Assign(const la::Matrix& transition);
+
+  /// out <- T v.
+  void TimesVector(const la::Vector& v, la::Vector* out) const;
+  /// out <- T m.
+  void TimesMatrix(const la::Matrix& m, la::Matrix* out) const;
+  /// out <- m T'.
+  void MatrixTimesTranspose(const la::Matrix& m, la::Matrix* out) const;
+
+ private:
+  std::vector<std::size_t> row_begin_;  // dim + 1 offsets into cols_/values_
+  std::vector<std::size_t> cols_;
+  std::vector<double> values_;
+};
+
 /// Per-thread scratch buffers for the filter hot loops. A filter pass
 /// over a dim-d state touches ~6 d x d temporaries per step; borrowing
 /// them from a thread_local workspace instead of allocating turns the
@@ -82,8 +109,9 @@ class KalmanWorkspace {
   // Scratch buffers (internal to the filter implementations).
   la::Vector z, pz, steady_pz, state, state_aux, filtered, filtered_aux,
       tmp_vector;
-  la::Matrix rqr, transition_transpose, covariance, filtered_covariance,
-      next_covariance, tmp_matrix, tmp_matrix2;
+  SparseTransition transition;
+  la::Matrix rqr, covariance, filtered_covariance, next_covariance,
+      tmp_matrix, tmp_matrix2;
 };
 
 struct KalmanOptions {

@@ -17,25 +17,13 @@ bool IsMissing(double x) { return std::isnan(x); }
 
 // --- Flat-array twins of the la:: kernels. ---------------------------
 //
-// Each helper reproduces the corresponding la:: loop body verbatim
-// (including the a_rk == 0.0 shortcut of MultiplyInto, which changes
-// the accumulation sequence for the sparse transition/selection
-// matrices), so a fixed pass and a dynamic pass accumulate every double
-// in the same order and agree bit for bit.
-
-template <int Dim>
-inline void MatMul(const double* a, const double* b, double* out) {
-  for (int i = 0; i < Dim * Dim; ++i) out[i] = 0.0;
-  for (int r = 0; r < Dim; ++r) {
-    for (int k = 0; k < Dim; ++k) {
-      const double a_rk = a[r * Dim + k];
-      if (a_rk == 0.0) continue;
-      for (int c = 0; c < Dim; ++c) {
-        out[r * Dim + c] += a_rk * b[k * Dim + c];
-      }
-    }
-  }
-}
+// Each helper accumulates every double in the same order as the dynamic
+// path, so a fixed pass and a dynamic pass agree bit for bit. Products
+// with T go through the sparse row table of FixedModel: skipping an
+// exact-zero term is value-neutral for finite operands (a sum started at
+// +0.0 is unchanged by adding a signed zero), so only the order of the
+// nonzero terms has to match, and both paths take them in increasing
+// column order (see SparseTransition in kalman.h).
 
 template <int Dim>
 inline void MatVec(const double* m, const double* v, double* out) {
@@ -73,32 +61,75 @@ inline double MaxAbs(const double* m) {
   return best;
 }
 
-// Per-pass constant data copied to flat storage once. RQR' and T' are
-// produced by the very la:: calls the dynamic setup uses, so their bits
-// match by construction.
+// Per-pass constant data copied to flat storage once. RQR' is produced
+// by the very la:: calls the dynamic setup uses, so its bits match by
+// construction; T is kept only as its nonzeros, row by row in increasing
+// column order.
 template <int Dim>
 struct FixedModel {
-  double transition[Dim * Dim] = {};
-  double transition_t[Dim * Dim] = {};
+  int row_begin[Dim + 1] = {};  // offsets into cols/values
+  int cols[Dim * Dim] = {};
+  double values[Dim * Dim] = {};
   double rqr[Dim * Dim] = {};
   double z_base[Dim] = {};
   bool has_time_varying = false;
 
   explicit FixedModel(const StateSpaceModel& model) {
-    la::Matrix rq, selection_t, rqr_m, transition_t_m;
+    la::Matrix rq, selection_t, rqr_m;
     la::MultiplyInto(model.selection, model.state_noise, &rq);
     la::TransposeInto(model.selection, &selection_t);
     la::MultiplyInto(rq, selection_t, &rqr_m);
-    la::TransposeInto(model.transition, &transition_t_m);
+    int nonzeros = 0;
     for (int r = 0; r < Dim; ++r) {
       for (int c = 0; c < Dim; ++c) {
-        transition[r * Dim + c] = model.transition(r, c);
-        transition_t[r * Dim + c] = transition_t_m(r, c);
         rqr[r * Dim + c] = rqr_m(r, c);
+        const double t_rc = model.transition(r, c);
+        if (t_rc == 0.0) continue;
+        cols[nonzeros] = c;
+        values[nonzeros] = t_rc;
+        ++nonzeros;
       }
+      row_begin[r + 1] = nonzeros;
     }
     for (int i = 0; i < Dim; ++i) z_base[i] = model.observation[i];
     has_time_varying = !model.time_varying.empty();
+  }
+
+  // out <- T v.
+  void TimesVector(const double* v, double* out) const {
+    for (int r = 0; r < Dim; ++r) {
+      double total = 0.0;
+      for (int i = row_begin[r]; i < row_begin[r + 1]; ++i) {
+        total += values[i] * v[cols[i]];
+      }
+      out[r] = total;
+    }
+  }
+
+  // out <- T m.
+  void TimesMatrix(const double* m, double* out) const {
+    for (int i = 0; i < Dim * Dim; ++i) out[i] = 0.0;
+    for (int r = 0; r < Dim; ++r) {
+      for (int i = row_begin[r]; i < row_begin[r + 1]; ++i) {
+        const double t_rk = values[i];
+        const double* m_k = m + cols[i] * Dim;
+        for (int c = 0; c < Dim; ++c) out[r * Dim + c] += t_rk * m_k[c];
+      }
+    }
+  }
+
+  // out <- m T', one output column at a time so the Dim running sums
+  // of a column advance together.
+  void MatrixTimesTranspose(const double* m, double* out) const {
+    for (int c = 0; c < Dim; ++c) {
+      double column[Dim] = {};
+      for (int i = row_begin[c]; i < row_begin[c + 1]; ++i) {
+        const double t_ck = values[i];
+        const double* m_k = m + cols[i];
+        for (int r = 0; r < Dim; ++r) column[r] += m_k[r * Dim] * t_ck;
+      }
+      for (int r = 0; r < Dim; ++r) out[r * Dim + c] = column[r];
+    }
   }
 
   // Z_t into `z` (same values as ObservationVectorInto).
@@ -114,15 +145,22 @@ struct FixedModel {
   }
 };
 
+// next <- T * source * T' + rqr, symmetrized.
+template <int Dim>
+inline void PredictCovariance(const FixedModel<Dim>& fm, const double* source,
+                              double* tmp, double* next) {
+  fm.TimesMatrix(source, tmp);
+  fm.MatrixTimesTranspose(tmp, next);
+  for (int i = 0; i < Dim * Dim; ++i) next[i] += fm.rqr[i];
+  Symmetrize<Dim>(next);
+}
+
 // covariance <- T * source * T' + rqr, symmetrized (the dynamic path's
 // AdvanceCovariance, with the buffer swap realized as a copy).
 template <int Dim>
 inline void AdvanceCovariance(const FixedModel<Dim>& fm, const double* source,
                               double* cov, double* tmp, double* next) {
-  MatMul<Dim>(fm.transition, source, tmp);
-  MatMul<Dim>(tmp, fm.transition_t, next);
-  for (int i = 0; i < Dim * Dim; ++i) next[i] += fm.rqr[i];
-  Symmetrize<Dim>(next);
+  PredictCovariance<Dim>(fm, source, tmp, next);
   for (int i = 0; i < Dim * Dim; ++i) cov[i] = next[i];
 }
 
@@ -208,7 +246,7 @@ Result<FilterResult> RunFilterImpl(const StateSpaceModel& model,
     const double x = observations[t];
     if (IsMissing(x)) {
       result.innovations[t] = std::numeric_limits<double>::quiet_NaN();
-      MatVec<Dim>(fm.transition, state, tmp_vec);
+      fm.TimesVector(state, tmp_vec);
       for (int i = 0; i < Dim; ++i) state[i] = tmp_vec[i];
       if (steady) {
         steady = false;
@@ -239,7 +277,7 @@ Result<FilterResult> RunFilterImpl(const StateSpaceModel& model,
     for (int i = 0; i < Dim; ++i) {
       filtered[i] = state[i] + pz_sel[i] * gain_scale;
     }
-    MatVec<Dim>(fm.transition, filtered, tmp_vec);
+    fm.TimesVector(filtered, tmp_vec);
     for (int i = 0; i < Dim; ++i) state[i] = tmp_vec[i];
     if (steady) continue;  // Covariance frozen.
 
@@ -249,10 +287,7 @@ Result<FilterResult> RunFilterImpl(const StateSpaceModel& model,
             cov[r * Dim + c] - pz[r] * pz[c] / prediction_variance;
       }
     }
-    MatMul<Dim>(fm.transition, filtered_cov, tmp_mat);
-    MatMul<Dim>(tmp_mat, fm.transition_t, next_cov);
-    for (int i = 0; i < Dim * Dim; ++i) next_cov[i] += fm.rqr[i];
-    Symmetrize<Dim>(next_cov);
+    PredictCovariance<Dim>(fm, filtered_cov, tmp_mat, next_cov);
     if (may_go_steady) {
       double max_change = 0.0;
       for (int r = 0; r < Dim; ++r) {
@@ -345,9 +380,9 @@ Result<RegressionFilterResult> RunRegressionImpl(
     const double x = observations[t];
     if (IsMissing(x)) {
       base.innovations[t] = std::numeric_limits<double>::quiet_NaN();
-      MatVec<Dim>(fm.transition, state, tmp_vec);
+      fm.TimesVector(state, tmp_vec);
       for (int i = 0; i < Dim; ++i) state[i] = tmp_vec[i];
-      MatVec<Dim>(fm.transition, state_aux, tmp_vec);
+      fm.TimesVector(state_aux, tmp_vec);
       for (int i = 0; i < Dim; ++i) state_aux[i] = tmp_vec[i];
       AdvanceCovariance<Dim>(fm, cov, cov, tmp_mat, next_cov);
       continue;
@@ -385,8 +420,8 @@ Result<RegressionFilterResult> RunRegressionImpl(
             cov[r * Dim + c] - pz[r] * pz[c] / prediction_variance;
       }
     }
-    MatVec<Dim>(fm.transition, filtered, state);
-    MatVec<Dim>(fm.transition, filtered_aux, state_aux);
+    fm.TimesVector(filtered, state);
+    fm.TimesVector(filtered_aux, state_aux);
     AdvanceCovariance<Dim>(fm, filtered_cov, cov, tmp_mat, next_cov);
   }
 
@@ -472,10 +507,10 @@ Result<MultiRegressionFilterResult> RunRegressorsImpl(
     const double x = observations[t];
     if (IsMissing(x)) {
       base.innovations[t] = std::numeric_limits<double>::quiet_NaN();
-      MatVec<Dim>(fm.transition, state, tmp_vec);
+      fm.TimesVector(state, tmp_vec);
       for (int i = 0; i < Dim; ++i) state[i] = tmp_vec[i];
       for (auto& sw : state_w) {
-        MatVec<Dim>(fm.transition, sw.data(), tmp_vec);
+        fm.TimesVector(sw.data(), tmp_vec);
         for (int i = 0; i < Dim; ++i) sw[i] = tmp_vec[i];
       }
       AdvanceCovariance<Dim>(fm, cov, cov, tmp_mat, next_cov);
@@ -517,7 +552,7 @@ Result<MultiRegressionFilterResult> RunRegressorsImpl(
       for (int i = 0; i < Dim; ++i) {
         state_w[j][i] += pz[i] * gain_w;
       }
-      MatVec<Dim>(fm.transition, state_w[j].data(), tmp_vec);
+      fm.TimesVector(state_w[j].data(), tmp_vec);
       for (int i = 0; i < Dim; ++i) state_w[j][i] = tmp_vec[i];
     }
     for (int r = 0; r < Dim; ++r) {
@@ -526,7 +561,7 @@ Result<MultiRegressionFilterResult> RunRegressorsImpl(
             cov[r * Dim + c] - pz[r] * pz[c] / prediction_variance;
       }
     }
-    MatVec<Dim>(fm.transition, filtered, state);
+    fm.TimesVector(filtered, state);
     AdvanceCovariance<Dim>(fm, filtered_cov, cov, tmp_mat, next_cov);
   }
 

@@ -6,8 +6,8 @@
 // per-step temporaries live in flat stack arrays sized by the template
 // parameter instead of heap-backed la:: objects, the loop bounds are
 // compile-time constants, and every inner loop replicates the dynamic
-// path's floating-point accumulation order exactly (including the
-// skip-zero shortcut of la::MultiplyInto and the Symmetrize averaging),
+// path's floating-point accumulation order exactly (including the sparse
+// transition products of SparseTransition and the Symmetrize averaging),
 // so the two paths produce bit-identical FilterResults. The win is pure
 // overhead removal on the Table V hot path: no buffer Resize/re-zeroing
 // per kernel call, no virtual-size indirection, and loop bodies the
