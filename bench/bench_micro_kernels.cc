@@ -230,6 +230,21 @@ void BM_MedicationModelFit(benchmark::State& state) {
 }
 BENCHMARK(BM_MedicationModelFit)->Unit(benchmark::kMillisecond);
 
+// Month 0 of the default 2,000-patient world (1,518 records, 58
+// diseases, 84 medicines): the scale of the em_reproduce workload.
+void BM_MedicationModelFitDefaultWorld(benchmark::State& state) {
+  auto world = synth::MakePaperWorld();
+  synth::ClaimGenerator generator(&*world);
+  auto data = generator.Generate();
+  const MonthlyDataset& month = data->corpus.month(0);
+  for (auto _ : state) {
+    auto model = medmodel::MedicationModel::Fit(month);
+    benchmark::DoNotOptimize((*model)->fit_stats().final_log_likelihood);
+  }
+  state.SetItemsProcessed(state.iterations() * month.size());
+}
+BENCHMARK(BM_MedicationModelFitDefaultWorld)->Unit(benchmark::kMillisecond);
+
 void BM_ClaimGeneration(benchmark::State& state) {
   auto world = synth::World::Create(synth::MakeTinyWorldConfig(12, 7));
   synth::ClaimGenerator generator(&*world);

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "cache/snapshot_io.h"
 #include "common/logging.h"
@@ -12,24 +15,145 @@
 namespace mic::medmodel {
 namespace {
 
-// Month-local compiled record: disease slots with theta (Eq. 2) and
-// medicine slots with multiplicities.
-struct CompiledRecord {
-  std::vector<std::pair<std::size_t, double>> diseases;
-  std::vector<std::pair<std::size_t, std::uint32_t>> medicines;
-};
-
-// Records per E-step reduction chunk. The chunking is fixed — never a
-// function of the thread count — and chunk partials are merged in chunk
-// order, which is what makes the fit bit-identical at any parallelism.
+// Records per E-step chunk. The chunking is fixed — never a function of
+// the thread count — and every reduction over chunks runs in a fixed
+// serial order, which is what makes the fit bit-identical at any
+// parallelism.
 constexpr std::size_t kEstepChunkRecords = 256;
 
-// Per-chunk E-step accumulator: expected counts and the chunk's
-// log-likelihood contribution.
-struct EstepShard {
-  std::vector<std::unordered_map<std::size_t, double>> next;
-  double log_likelihood = 0.0;
+// One month compiled to month-local dense slots, as flat arrays. Record
+// r owns the disease entries [disease_begin[r], disease_begin[r + 1])
+// (slot and theta, Eq. 2), the medicine entries
+// [medicine_begin[r], medicine_begin[r + 1]) (slot and multiplicity),
+// and the record entries [entry_begin[r], entry_begin[r + 1]): one per
+// (medicine i, disease j), medicine-major, so the entry of the i-th
+// medicine and j-th disease is entry_begin[r] + i * D_r + j.
+struct CompiledMonth {
+  std::vector<std::size_t> disease_begin{0};
+  std::vector<std::size_t> disease_slot;
+  std::vector<double> theta;
+  std::vector<std::size_t> medicine_begin{0};
+  std::vector<std::size_t> medicine_slot;
+  std::vector<double> medicine_count;
+  std::vector<std::size_t> entry_begin{0};
+
+  std::size_t num_records() const { return disease_begin.size() - 1; }
+  std::size_t num_entries() const { return entry_begin.back(); }
 };
+
+// The month's (disease, medicine) support: every slot pair that shares a
+// record, as keys d << 32 | m in ascending order. That is CSR layout:
+// disease d's row is [row_begin[d], row_begin[d + 1]) with medicines in
+// ascending slot order. entry_pair[e] is record entry e's pair index.
+struct SupportIndex {
+  std::vector<std::uint64_t> pairs;
+  std::vector<std::size_t> row_begin;
+  std::vector<std::size_t> entry_pair;
+
+  std::size_t disease(std::size_t p) const { return pairs[p] >> 32; }
+  std::size_t medicine(std::size_t p) const {
+    return pairs[p] & 0xFFFFFFFFull;
+  }
+};
+
+SupportIndex BuildSupportIndex(const CompiledMonth& month,
+                               std::size_t num_diseases) {
+  SupportIndex index;
+  std::vector<std::uint64_t> entry_key;
+  entry_key.reserve(month.num_entries());
+  for (std::size_t r = 0; r < month.num_records(); ++r) {
+    for (std::size_t i = month.medicine_begin[r];
+         i < month.medicine_begin[r + 1]; ++i) {
+      for (std::size_t j = month.disease_begin[r];
+           j < month.disease_begin[r + 1]; ++j) {
+        entry_key.push_back(
+            (static_cast<std::uint64_t>(month.disease_slot[j]) << 32) |
+            month.medicine_slot[i]);
+      }
+    }
+  }
+  index.pairs = entry_key;
+  std::sort(index.pairs.begin(), index.pairs.end());
+  index.pairs.erase(std::unique(index.pairs.begin(), index.pairs.end()),
+                    index.pairs.end());
+  index.row_begin.assign(num_diseases + 1, 0);
+  for (std::size_t p = 0; p < index.pairs.size(); ++p) {
+    ++index.row_begin[index.disease(p) + 1];
+  }
+  for (std::size_t d = 0; d < num_diseases; ++d) {
+    index.row_begin[d + 1] += index.row_begin[d];
+  }
+  index.entry_pair.reserve(entry_key.size());
+  for (std::uint64_t key : entry_key) {
+    index.entry_pair.push_back(static_cast<std::size_t>(
+        std::lower_bound(index.pairs.begin(), index.pairs.end(), key) -
+        index.pairs.begin()));
+  }
+  return index;
+}
+
+// Writes count * q (Eq. 6) for every entry of records [begin, end) into
+// entry_value and returns those records' log-likelihood contribution. A
+// (record, medicine) with no support under phi gets zero
+// responsibilities and no likelihood term.
+double Responsibilities(const CompiledMonth& month,
+                        const SupportIndex& index,
+                        const std::vector<double>& phi, std::size_t begin,
+                        std::size_t end, std::vector<double>& entry_value) {
+  double log_likelihood = 0.0;
+  for (std::size_t r = begin; r < end; ++r) {
+    std::size_t e = month.entry_begin[r];
+    for (std::size_t i = month.medicine_begin[r];
+         i < month.medicine_begin[r + 1]; ++i) {
+      const std::size_t first = e;
+      double denominator = 0.0;
+      for (std::size_t j = month.disease_begin[r];
+           j < month.disease_begin[r + 1]; ++j, ++e) {
+        const double weight = month.theta[j] * phi[index.entry_pair[e]];
+        entry_value[e] = weight;
+        denominator += weight;
+      }
+      if (denominator <= 0.0) {  // No support.
+        std::fill(entry_value.begin() + first, entry_value.begin() + e, 0.0);
+        continue;
+      }
+      const double count = month.medicine_count[i];
+      log_likelihood += count * std::log(denominator);
+      for (std::size_t k = first; k < e; ++k) {
+        entry_value[k] = count * (entry_value[k] / denominator);
+      }
+    }
+  }
+  return log_likelihood;
+}
+
+// Sums the per-entry values into per-pair values in entry order.
+void FoldEntries(const SupportIndex& index,
+                 const std::vector<double>& entry_value,
+                 std::vector<double>& pair_value) {
+  std::fill(pair_value.begin(), pair_value.end(), 0.0);
+  for (std::size_t e = 0; e < entry_value.size(); ++e) {
+    pair_value[index.entry_pair[e]] += entry_value[e];
+  }
+}
+
+// Normalizes each CSR row of `mass` into `phi`, totals summed in
+// ascending medicine slot order. A row without mass leaves phi as it
+// was. `mass` and `phi` may be the same vector.
+void NormalizeRows(const SupportIndex& index, const std::vector<double>& mass,
+                   std::vector<double>& phi) {
+  for (std::size_t d = 0; d + 1 < index.row_begin.size(); ++d) {
+    const std::size_t row_begin = index.row_begin[d];
+    const std::size_t row_end = index.row_begin[d + 1];
+    double total = 0.0;
+    for (std::size_t p = row_begin; p < row_end; ++p) total += mass[p];
+    if (total > 0.0) {
+      for (std::size_t p = row_begin; p < row_end; ++p) {
+        phi[p] = mass[p] / total;
+      }
+    }
+  }
+}
 
 }  // namespace
 
@@ -97,26 +221,29 @@ Result<std::unique_ptr<MedicationModel>> MedicationModel::Fit(
   }
 
   // Compile records; skip those missing either bag.
-  std::vector<CompiledRecord> records;
-  records.reserve(month.size());
+  CompiledMonth records;
   std::vector<double> disease_totals(num_diseases, 0.0);
   for (const MicRecord& record : month.records()) {
     if (record.diseases.empty() || record.medicines.empty()) continue;
-    CompiledRecord compiled;
     const double n_r = static_cast<double>(record.TotalDiseaseMentions());
     for (const auto& entry : record.diseases) {
       const std::size_t slot = model->disease_slots_[entry.id];
-      compiled.diseases.push_back(
-          {slot, static_cast<double>(entry.count) / n_r});
+      records.disease_slot.push_back(slot);
+      records.theta.push_back(static_cast<double>(entry.count) / n_r);
       disease_totals[slot] += static_cast<double>(entry.count);
     }
     for (const auto& entry : record.medicines) {
-      compiled.medicines.push_back(
-          {model->medicine_slots_[entry.id], entry.count});
+      records.medicine_slot.push_back(model->medicine_slots_[entry.id]);
+      records.medicine_count.push_back(static_cast<double>(entry.count));
     }
-    records.push_back(std::move(compiled));
+    records.disease_begin.push_back(records.disease_slot.size());
+    records.medicine_begin.push_back(records.medicine_slot.size());
+    records.entry_begin.push_back(records.entry_begin.back() +
+                                  record.diseases.size() *
+                                      record.medicines.size());
   }
-  if (records.empty()) {
+  const std::size_t num_records = records.num_records();
+  if (num_records == 0) {
     return Status::InvalidArgument("no record has both bags non-empty");
   }
 
@@ -128,22 +255,38 @@ Result<std::unique_ptr<MedicationModel>> MedicationModel::Fit(
     model->eta_[d] = disease_totals[d] / disease_grand_total;
   }
 
+  // φ, the expected counts and the prior's φ live in flat arrays
+  // indexed by support pair; entry_value holds one value per record
+  // entry. Nothing below allocates per iteration.
+  const SupportIndex index = BuildSupportIndex(records, num_diseases);
+  const std::size_t num_pairs = index.pairs.size();
+  std::vector<double> phi(num_pairs);
+  std::vector<double> expected(num_pairs);
+  std::vector<double> entry_value(records.num_entries());
+
   // Initialize phi from cooccurrence counts (Eq. 10): every medicine that
   // ever shares a record with disease d gets positive initial mass, so
   // all responsibilities are well defined from the first E step.
-  std::vector<std::unordered_map<std::size_t, double>> phi(num_diseases);
-  for (const CompiledRecord& record : records) {
-    for (const auto& [d, theta] : record.diseases) {
-      for (const auto& [m, count] : record.medicines) {
-        phi[d][m] += theta * static_cast<double>(count);
+  for (std::size_t r = 0; r < num_records; ++r) {
+    std::size_t e = records.entry_begin[r];
+    for (std::size_t i = records.medicine_begin[r];
+         i < records.medicine_begin[r + 1]; ++i) {
+      for (std::size_t j = records.disease_begin[r];
+           j < records.disease_begin[r + 1]; ++j, ++e) {
+        entry_value[e] = records.theta[j] * records.medicine_count[i];
       }
     }
   }
-  for (auto& row : phi) {
-    double total = 0.0;
-    for (const auto& [m, value] : row) total += value;
-    if (total > 0.0) {
-      for (auto& [m, value] : row) value /= total;
+  FoldEntries(index, entry_value, phi);
+  NormalizeRows(index, phi, phi);
+
+  // The previous month's phi over this month's support, looked up once.
+  std::vector<double> prior_phi;
+  if (use_prior || warm_start) {
+    prior_phi.resize(num_pairs);
+    for (std::size_t p = 0; p < num_pairs; ++p) {
+      prior_phi[p] = prior->Phi(slot_to_disease[index.disease(p)],
+                                slot_to_medicine[index.medicine(p)]);
     }
   }
 
@@ -154,83 +297,47 @@ Result<std::unique_ptr<MedicationModel>> MedicationModel::Fit(
   // support set is unchanged, so EM explores the same parameter space
   // and converges to the same tolerance — just from a closer start.
   if (warm_start) {
-    for (std::size_t d = 0; d < num_diseases; ++d) {
-      auto& row = phi[d];
-      double total = 0.0;
-      for (auto& [m, value] : row) {
-        const double prior_phi =
-            prior->Phi(slot_to_disease[d], slot_to_medicine[m]);
-        if (prior_phi > 0.0) value = prior_phi;
-        total += value;
-      }
-      if (total > 0.0) {
-        for (auto& [m, value] : row) value /= total;
-      }
+    for (std::size_t p = 0; p < num_pairs; ++p) {
+      if (prior_phi[p] > 0.0) phi[p] = prior_phi[p];
     }
+    NormalizeRows(index, phi, phi);
   }
 
-  // EM (Eqs. 5-6). The E step shards the record loop into fixed-size
-  // chunks (parallel when context.pool is set); each chunk accumulates
-  // responsibilities into its own shard, and the shards are merged into
-  // `next` in chunk order so the reduction is deterministic.
+  // EM (Eqs. 5-6). The E step runs fixed-size record chunks (parallel
+  // when context.pool is set); each chunk writes its entries'
+  // responsibilities and its log-likelihood into its own slots, and the
+  // serial fold that follows sums them in entry and chunk order, so the
+  // reduction is deterministic.
   const std::size_t num_chunks =
-      (records.size() + kEstepChunkRecords - 1) / kEstepChunkRecords;
-  std::vector<EstepShard> shards(num_chunks);
-  for (EstepShard& shard : shards) shard.next.resize(num_diseases);
-  std::vector<std::unordered_map<std::size_t, double>> next(num_diseases);
+      (num_records + kEstepChunkRecords - 1) / kEstepChunkRecords;
+  std::vector<double> chunk_log_likelihood(num_chunks);
+  auto responsibility_chunk = [&records, &index, &phi, &entry_value](
+                                  std::size_t chunk_begin,
+                                  std::size_t chunk_end) {
+    return Responsibilities(records, index, phi, chunk_begin, chunk_end,
+                            entry_value);
+  };
   double previous_log_likelihood = -std::numeric_limits<double>::infinity();
   for (int iteration = 0; iteration < options.max_iterations; ++iteration) {
     obs::Increment(iterations_counter);
-    obs::Increment(sharded_counter, records.size());
+    obs::Increment(sharded_counter, num_records);
     double log_likelihood = 0.0;
     {
       obs::ScopedTimer estep_scope(estep_timer, context.trace, "estep");
       MIC_RETURN_IF_ERROR(runtime::ParallelFor(
-          pool, 0, records.size(), kEstepChunkRecords,
+          pool, 0, num_records, kEstepChunkRecords,
           obs::TraceChunks(
               context.trace, "em-estep",
-              [&records, &phi, &shards](std::size_t chunk_begin,
-                                        std::size_t chunk_end,
-                                        std::size_t chunk_index) {
-            EstepShard& shard = shards[chunk_index];
-            shard.log_likelihood = 0.0;
-            for (auto& row : shard.next) row.clear();
-            std::vector<double> responsibilities;
-            for (std::size_t r = chunk_begin; r < chunk_end; ++r) {
-              const CompiledRecord& record = records[r];
-              for (const auto& [m, count] : record.medicines) {
-                responsibilities.clear();
-                double denominator = 0.0;
-                for (const auto& [d, theta] : record.diseases) {
-                  auto it = phi[d].find(m);
-                  const double weight =
-                      theta * (it == phi[d].end() ? 0.0 : it->second);
-                  responsibilities.push_back(weight);
-                  denominator += weight;
-                }
-                if (denominator <= 0.0) continue;  // No support.
-                shard.log_likelihood +=
-                    static_cast<double>(count) * std::log(denominator);
-                for (std::size_t i = 0; i < record.diseases.size(); ++i) {
-                  const double q = responsibilities[i] / denominator;
-                  shard.next[record.diseases[i].first][m] +=
-                      static_cast<double>(count) * q;
-                }
-              }
-            }
-            return Status::OK();
+              [&responsibility_chunk, &chunk_log_likelihood](
+                  std::size_t chunk_begin, std::size_t chunk_end,
+                  std::size_t chunk_index) {
+                chunk_log_likelihood[chunk_index] =
+                    responsibility_chunk(chunk_begin, chunk_end);
+                return Status::OK();
               }),
           "em-estep"));
-
-      for (auto& row : next) row.clear();
-      for (const EstepShard& shard : shards) {
-        log_likelihood += shard.log_likelihood;
-        for (std::size_t d = 0; d < num_diseases; ++d) {
-          for (const auto& [m, value] : shard.next[d]) {
-            next[d][m] += value;
-          }
-        }
-      }
+      FoldEntries(index, entry_value, expected);
+      for (double chunk : chunk_log_likelihood) log_likelihood += chunk;
     }
 
     // M step: normalize expected counts into phi; with a temporal
@@ -238,20 +345,12 @@ Result<std::unique_ptr<MedicationModel>> MedicationModel::Fit(
     // (Topic-Tracking MAP update).
     {
       obs::ScopedTimer mstep_scope(mstep_timer, context.trace, "mstep");
-      for (std::size_t d = 0; d < num_diseases; ++d) {
-        double total = 0.0;
-        if (use_prior) {
-          for (auto& [m, value] : next[d]) {
-            value += options.prior_strength *
-                     prior->Phi(slot_to_disease[d], slot_to_medicine[m]);
-          }
-        }
-        for (const auto& [m, value] : next[d]) total += value;
-        if (total > 0.0) {
-          phi[d].clear();
-          for (const auto& [m, value] : next[d]) phi[d][m] = value / total;
+      if (use_prior) {
+        for (std::size_t p = 0; p < num_pairs; ++p) {
+          expected[p] += options.prior_strength * prior_phi[p];
         }
       }
+      NormalizeRows(index, expected, phi);
     }
 
     model->stats_.log_likelihood_trace.push_back(log_likelihood);
@@ -271,44 +370,24 @@ Result<std::unique_ptr<MedicationModel>> MedicationModel::Fit(
   model->stats_.final_log_likelihood = previous_log_likelihood;
 
   // Final responsibilities accumulate the per-pair prescription counts
-  // x_dm (Eq. 7), sharded over the same fixed chunks as the E step and
-  // merged in chunk order.
-  std::vector<PairCounts> count_shards(num_chunks);
-  obs::Increment(sharded_counter, records.size());
+  // x_dm (Eq. 7) over the same fixed chunks and the same entry-order
+  // fold as the E step.
+  obs::Increment(sharded_counter, num_records);
   MIC_RETURN_IF_ERROR(runtime::ParallelFor(
-      pool, 0, records.size(), kEstepChunkRecords,
-      obs::TraceChunks(
-          context.trace, "em-pair-counts",
-          [&records, &phi, &count_shards, &slot_to_disease,
-           &slot_to_medicine](std::size_t chunk_begin,
-                              std::size_t chunk_end,
-                              std::size_t chunk_index) {
-        PairCounts& local = count_shards[chunk_index];
-        for (std::size_t r = chunk_begin; r < chunk_end; ++r) {
-          const CompiledRecord& record = records[r];
-          for (const auto& [m, count] : record.medicines) {
-            double denominator = 0.0;
-            for (const auto& [d, theta] : record.diseases) {
-              auto it = phi[d].find(m);
-              if (it != phi[d].end()) denominator += theta * it->second;
-            }
-            if (denominator <= 0.0) continue;
-            for (const auto& [d, theta] : record.diseases) {
-              auto it = phi[d].find(m);
-              if (it == phi[d].end()) continue;
-              const double q = theta * it->second / denominator;
-              local.Add(slot_to_disease[d], slot_to_medicine[m],
-                        static_cast<double>(count) * q);
-            }
-          }
-        }
-        return Status::OK();
-          }),
+      pool, 0, num_records, kEstepChunkRecords,
+      obs::TraceChunks(context.trace, "em-pair-counts",
+                       [&responsibility_chunk](std::size_t chunk_begin,
+                                               std::size_t chunk_end,
+                                               std::size_t) {
+                         responsibility_chunk(chunk_begin, chunk_end);
+                         return Status::OK();
+                       }),
       "em-pair-counts"));
-  for (const PairCounts& local : count_shards) {
-    local.ForEach([&model](DiseaseId d, MedicineId m, double value) {
-      model->pair_counts_.Add(d, m, value);
-    });
+  FoldEntries(index, entry_value, expected);
+  for (std::size_t p = 0; p < num_pairs; ++p) {
+    model->pair_counts_.Add(slot_to_disease[index.disease(p)],
+                            slot_to_medicine[index.medicine(p)],
+                            expected[p]);
   }
 
   // Store smoothed phi: a fraction `phi_smoothing` of each disease's
@@ -317,10 +396,8 @@ Result<std::unique_ptr<MedicationModel>> MedicationModel::Fit(
       options.phi_smoothing / static_cast<double>(num_medicines);
   const double keep = 1.0 - options.phi_smoothing;
   model->phi_.resize(num_diseases);
-  for (std::size_t d = 0; d < num_diseases; ++d) {
-    for (const auto& [m, value] : phi[d]) {
-      model->phi_[d][m] = keep * value;
-    }
+  for (std::size_t p = 0; p < num_pairs; ++p) {
+    model->phi_[index.disease(p)][index.medicine(p)] = keep * phi[p];
   }
 
   return model;

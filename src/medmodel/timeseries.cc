@@ -142,16 +142,24 @@ Result<SeriesSet> ReproduceSeries(const MicCorpus& corpus,
 
 namespace {
 
-// Chain fingerprint of one month's fit: the month's content digest, the
-// fit options, and the previous month's fingerprint. Chaining the
-// previous fingerprint makes warm-started (and temporally coupled) fits
-// content addressed: editing month k re-keys every month >= k, while a
-// one-month append leaves months 0..k-1 hitting their old snapshots.
+// Version salt for cached EM snapshots: bump whenever the fit's
+// arithmetic changes, even in the last bits, so that a chain never
+// splices snapshots of two versions (v2 = flat-array EM summing in
+// record-entry and ascending medicine slot order).
+constexpr std::uint64_t kEmFitVersion = 2;
+
+// Chain fingerprint of one month's fit: the EM version, the month's
+// content digest, the fit options, and the previous month's
+// fingerprint. Chaining the previous fingerprint makes warm-started
+// (and temporally coupled) fits content addressed: editing month k
+// re-keys every month >= k, while a one-month append leaves months
+// 0..k-1 hitting their old snapshots.
 std::uint64_t ChainedMonthFingerprint(std::uint64_t content_digest,
                                       const MedicationModelOptions& options,
                                       bool warm_start,
                                       std::uint64_t previous) {
   cache::Hasher hasher;
+  hasher.Mix(kEmFitVersion);
   hasher.Mix(content_digest);
   hasher.MixSigned(options.max_iterations);
   hasher.MixDouble(options.tolerance);

@@ -8,46 +8,10 @@
 #include "runtime/thread_pool.h"
 #include "synth/generator.h"
 #include "synth/scenario.h"
+#include "tests/medication_fixtures.h"
 
 namespace mic::medmodel {
 namespace {
-
-MicRecord MakeRecord(std::initializer_list<int> diseases,
-                     std::initializer_list<int> medicines) {
-  MicRecord record;
-  for (int id : diseases) {
-    record.diseases.push_back({DiseaseId(static_cast<std::uint32_t>(id)), 1});
-  }
-  for (int id : medicines) {
-    record.medicines.push_back(
-        {MedicineId(static_cast<std::uint32_t>(id)), 1});
-  }
-  record.Normalize();
-  return record;
-}
-
-// The paper's Fig. 2 situation in miniature: disease 0 (hypertension) is
-// chronic and cooccurs with disease 1 (pain) whose medicine 1
-// (analgesic) is everywhere; medicine 0 (depressor) is only ever
-// prescribed when disease 0 is present ALONE as well, which identifies
-// the link.
-MonthlyDataset DisambiguationMonth() {
-  MonthlyDataset month(0);
-  // Records with both diseases and both medicines: ambiguous.
-  for (int i = 0; i < 30; ++i) {
-    month.AddRecord(MakeRecord({0, 1}, {0, 1}));
-  }
-  // Records with only disease 1 and only the analgesic: identify
-  // medicine 1 as pain's medicine.
-  for (int i = 0; i < 40; ++i) {
-    month.AddRecord(MakeRecord({1}, {1}));
-  }
-  // A few pure-hypertension records with the depressor.
-  for (int i = 0; i < 10; ++i) {
-    month.AddRecord(MakeRecord({0}, {0}));
-  }
-  return month;
-}
 
 TEST(MedicationModelTest, EmLogLikelihoodIsMonotone) {
   auto model = MedicationModel::Fit(DisambiguationMonth());
@@ -173,9 +137,10 @@ TEST(MedicationModelTest, ConvergesOnGeneratedWorldMonth) {
 }
 
 // Fitting through a 4-thread pool must be bitwise-equal to the inline
-// fit: the E step reduces fixed 256-record chunks merged in chunk
-// order, so scheduling can never reorder the floating-point sums. The
-// month here is large enough (800 records) to span several chunks.
+// fit: the E step runs fixed 256-record chunks whose outputs are summed
+// serially in entry and chunk order, so scheduling can never reorder
+// the floating-point sums. The month here is large enough (800 records)
+// to span several chunks.
 TEST(MedicationModelTest, FourThreadFitIsBitwiseEqualToSerial) {
   MonthlyDataset month(0);
   for (int repeat = 0; repeat < 10; ++repeat) {
