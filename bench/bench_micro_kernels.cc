@@ -11,7 +11,6 @@
 #include "ssm/changepoint.h"
 #include "ssm/fit.h"
 #include "ssm/kalman.h"
-#include "ssm/kalman_fixed.h"
 #include "synth/generator.h"
 #include "synth/scenario.h"
 
@@ -105,12 +104,11 @@ void BM_KalmanFilterMultiRegressor(benchmark::State& state) {
 }
 BENCHMARK(BM_KalmanFilterMultiRegressor)->Arg(1)->Arg(3)->Arg(5);
 
-// The filter path fits actually run: the RunFilter*Kernel dispatch with
-// FitOptions' default kernel, which resolves to the compiled fixed
-// kernel at the structural dimensions (1 = level, 5 = level + two trig
-// harmonics, 12 = level + dummy seasonal). Arg is the state dimension;
-// the series is the paper's 43 months. The BM_KalmanFilter* benches
-// above time the dynamic path, which fits use only at other dimensions.
+// The filter entry points at the structural dimensions fits run (1 =
+// level, 5 = level + two trig harmonics, 12 = level + dummy seasonal),
+// all on compile-time stack storage. Arg is the state dimension; the
+// series is the paper's 43 months. The names predate the single filter
+// body and are kept so earlier measurements stay comparable.
 ssm::StateSpaceModel StructuralModelForDim(int dim) {
   ssm::StructuralSpec spec;
   spec.seasonal = dim > 1;
@@ -127,9 +125,8 @@ constexpr int kPaperMonths = 43;
 void BM_KalmanKernelFilter(benchmark::State& state) {
   const auto series = MakeSeries(kPaperMonths, 2);
   const auto model = StructuralModelForDim(static_cast<int>(state.range(0)));
-  const ssm::KalmanKernel kernel = ssm::FitOptions{}.kernel;
   for (auto _ : state) {
-    auto result = ssm::RunFilterKernel(kernel, model, series);
+    auto result = ssm::RunFilter(model, series);
     benchmark::DoNotOptimize(result->log_likelihood);
   }
   state.SetItemsProcessed(state.iterations() * kPaperMonths);
@@ -141,10 +138,8 @@ void BM_KalmanKernelRegression(benchmark::State& state) {
   const auto regressor =
       ssm::SlopeShiftRegressor(kPaperMonths / 2, kPaperMonths);
   const auto model = StructuralModelForDim(static_cast<int>(state.range(0)));
-  const ssm::KalmanKernel kernel = ssm::FitOptions{}.kernel;
   for (auto _ : state) {
-    auto result =
-        ssm::RunFilterWithRegressionKernel(kernel, model, series, regressor);
+    auto result = ssm::RunFilterWithRegression(model, series, regressor);
     benchmark::DoNotOptimize(result->profiled_log_likelihood);
   }
   state.SetItemsProcessed(state.iterations() * kPaperMonths);
@@ -160,10 +155,8 @@ void BM_KalmanKernelRegressors(benchmark::State& state) {
       ssm::InterventionRegressor({26, ssm::InterventionKind::kLevelShift},
                                  kPaperMonths)};
   const auto model = StructuralModelForDim(static_cast<int>(state.range(0)));
-  const ssm::KalmanKernel kernel = ssm::FitOptions{}.kernel;
   for (auto _ : state) {
-    auto result =
-        ssm::RunFilterWithRegressorsKernel(kernel, model, series, regressors);
+    auto result = ssm::RunFilterWithRegressors(model, series, regressors);
     benchmark::DoNotOptimize(result->profiled_log_likelihood);
   }
   state.SetItemsProcessed(state.iterations() * kPaperMonths);

@@ -1,8 +1,9 @@
 #include "medmodel/series_io.h"
 
+#include <charconv>
 #include <fstream>
 #include <ostream>
-#include <sstream>
+#include <string>
 
 #include "common/strings.h"
 
@@ -11,13 +12,17 @@ namespace {
 
 constexpr char kHeader[] = "kind,disease,medicine,values";
 
+// Shortest text that parses back to the same double, so a written series
+// reads back bit for bit.
 std::string FormatValues(const std::vector<double>& values) {
-  std::ostringstream out;
+  std::string out;
+  char buffer[32];
   for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out << ';';
-    out << values[i];
+    if (i > 0) out += ';';
+    out.append(buffer,
+               std::to_chars(buffer, buffer + sizeof(buffer), values[i]).ptr);
   }
-  return out.str();
+  return out;
 }
 
 }  // namespace

@@ -21,38 +21,6 @@ std::string_view SelectionCriterionName(SelectionCriterion criterion) {
   return "?";
 }
 
-std::optional<SharedAicMemo::Entry> SharedAicMemo::Lookup(
-    std::uint64_t series_key, int t_cp) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto series_it = entries_.find(series_key);
-  if (series_it == entries_.end()) return std::nullopt;
-  auto entry_it = series_it->second.find(t_cp);
-  if (entry_it == series_it->second.end()) return std::nullopt;
-  return entry_it->second;
-}
-
-void SharedAicMemo::Store(std::uint64_t series_key, int t_cp,
-                          const Entry& entry) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  entries_[series_key].emplace(t_cp, entry);  // First writer wins.
-}
-
-bool SharedAicMemo::Contains(std::uint64_t series_key, int t_cp) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto series_it = entries_.find(series_key);
-  if (series_it == entries_.end()) return false;
-  return series_it->second.find(t_cp) != series_it->second.end();
-}
-
-std::size_t SharedAicMemo::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t total = 0;
-  for (const auto& [key, per_candidate] : entries_) {
-    total += per_candidate.size();
-  }
-  return total;
-}
-
 double InformationCriterion(double log_likelihood, int parameters, int n,
                             SelectionCriterion criterion) {
   const double k = static_cast<double>(parameters);
@@ -141,8 +109,6 @@ ChangePointDetector::ChangePointDetector(std::vector<double> series,
   obs::MetricsRegistry* metrics = options_.fit.metrics;
   pruned_counter_ =
       obs::GetCounter(metrics, "changepoint.candidates_pruned");
-  shared_memo_counter_ =
-      obs::GetCounter(metrics, "changepoint.shared_memo_hits");
   evaluations_counter_ =
       obs::GetCounter(metrics, "changepoint.aic_evaluations");
   exact_counter_ =
@@ -191,30 +157,12 @@ Result<double> ChangePointDetector::AicAt(int t_cp) {
     obs::Increment(pruned_counter_);
     return it->second;
   }
-  if (options_.shared_memo != nullptr) {
-    // A detector that ran earlier under the same key already fitted
-    // this candidate; adopt its verdict (criterion AND model, so
-    // Finalize returns the identical best_model). Neither an
-    // evaluation nor a fit is counted — nothing was computed.
-    auto shared =
-        options_.shared_memo->Lookup(options_.series_key, t_cp);
-    if (shared.has_value()) {
-      obs::Increment(shared_memo_counter_);
-      aic_cache_.emplace(t_cp, shared->criterion);
-      model_cache_.emplace(t_cp, std::move(shared->model));
-      return shared->criterion;
-    }
-  }
   obs::Increment(evaluations_counter_);
   obs::Increment(active_counter_);
 
   if (t_cp == kNoChangePoint) {
     MIC_ASSIGN_OR_RETURN(FittedStructuralModel fitted, FitWith({}));
     const double criterion = CriterionOf(fitted);
-    if (options_.shared_memo != nullptr) {
-      options_.shared_memo->Store(options_.series_key, t_cp,
-                                  {criterion, fitted});
-    }
     aic_cache_.emplace(t_cp, criterion);
     model_cache_.emplace(t_cp, std::move(fitted));
     return criterion;
@@ -241,22 +189,13 @@ Result<double> ChangePointDetector::AicAt(int t_cp) {
                ? Status::InvalidArgument("no candidate kinds configured")
                : last_error;
   }
-  if (options_.shared_memo != nullptr) {
-    options_.shared_memo->Store(options_.series_key, t_cp,
-                                {best_criterion, *best_fit});
-  }
   aic_cache_.emplace(t_cp, best_criterion);
   model_cache_.emplace(t_cp, std::move(*best_fit));
   return best_criterion;
 }
 
 bool ChangePointDetector::NeedsEvaluation(int t_cp) const {
-  if (aic_cache_.find(t_cp) != aic_cache_.end()) return false;
-  if (options_.shared_memo != nullptr &&
-      options_.shared_memo->Contains(options_.series_key, t_cp)) {
-    return false;
-  }
-  return true;
+  return aic_cache_.find(t_cp) == aic_cache_.end();
 }
 
 void ChangePointDetector::Request(int t_cp) {
@@ -272,15 +211,6 @@ std::optional<Result<double>> ChangePointDetector::MachineAicAt(int t_cp) {
   auto failed = failed_this_search_.find(t_cp);
   if (failed != failed_this_search_.end()) {
     return Result<double>(failed->second);
-  }
-  if (options_.shared_memo != nullptr) {
-    auto shared = options_.shared_memo->Lookup(options_.series_key, t_cp);
-    if (shared.has_value()) {
-      obs::Increment(shared_memo_counter_);
-      aic_cache_.emplace(t_cp, shared->criterion);
-      model_cache_.emplace(t_cp, std::move(shared->model));
-      return Result<double>(shared->criterion);
-    }
   }
   auto staged = staged_.find(t_cp);
   if (staged == staged_.end()) {
@@ -310,10 +240,6 @@ std::optional<Result<double>> ChangePointDetector::MachineAicAt(int t_cp) {
         eval.nelder_mead_evaluations);
     obs::Increment(obs::GetCounter(metrics, "ssm.kalman_passes"),
                    eval.kalman_passes);
-  }
-  if (options_.shared_memo != nullptr) {
-    options_.shared_memo->Store(options_.series_key, t_cp,
-                                {eval.criterion, eval.model});
   }
   aic_cache_.emplace(t_cp, eval.criterion);
   model_cache_.emplace(t_cp, std::move(eval.model));

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -43,46 +42,6 @@ std::string_view SelectionCriterionName(SelectionCriterion criterion);
 /// observations.
 double InformationCriterion(double log_likelihood, int parameters, int n,
                             SelectionCriterion criterion);
-
-/// Criterion memo shared ACROSS detector instances: maps
-/// (series_key, candidate change point) to the fitted criterion and
-/// model. A detector given one via ChangePointOptions consults it
-/// before fitting and publishes what it fits, so Algorithm 1 and
-/// Algorithm 2 runs over the same series (e.g. the Table V
-/// exact-vs-approximate comparison, or repeated detections under one
-/// cache key) share every candidate fit instead of redoing it.
-///
-/// The caller owns the keying discipline: series_key must fingerprint
-/// the series AND every option that affects a fit (cache/fingerprint.h
-/// provides the hash). Entries are mutex-guarded, so concurrent
-/// detectors are memory-safe; hit/miss counters are deterministic only
-/// under sequential use, which is how the pipeline uses it.
-class SharedAicMemo {
- public:
-  struct Entry {
-    double criterion = 0.0;
-    FittedStructuralModel model;
-  };
-
-  /// Returns the entry for (series_key, t_cp), or nullopt on miss.
-  std::optional<Entry> Lookup(std::uint64_t series_key, int t_cp) const;
-
-  /// Presence probe without copying the entry (no counters either way;
-  /// used by the search planner to decide what to request).
-  bool Contains(std::uint64_t series_key, int t_cp) const;
-
-  /// Publishes an entry (first writer wins; later stores are no-ops,
-  /// which keeps concurrent detectors agreeing on one fitted model).
-  void Store(std::uint64_t series_key, int t_cp, const Entry& entry);
-
-  /// Entries currently held (test hook).
-  std::size_t size() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::unordered_map<std::uint64_t, std::unordered_map<int, Entry>>
-      entries_;
-};
 
 struct ChangePointOptions {
   /// Whether the underlying structural model carries a seasonal
@@ -112,14 +71,6 @@ struct ChangePointOptions {
       InterventionKind::kSlopeShift};
   /// Model selection criterion (the paper uses AIC).
   SelectionCriterion criterion = SelectionCriterion::kAic;
-  /// Optional cross-detector criterion memo (not owned). When set, a
-  /// candidate already fitted under `series_key` — by this detector OR
-  /// any earlier one sharing the memo — is answered without a fit and
-  /// counted under changepoint.shared_memo_hits.
-  SharedAicMemo* shared_memo = nullptr;
-  /// Key the shared memo entries live under; must fingerprint the
-  /// series and the fit-affecting options (see SharedAicMemo docs).
-  std::uint64_t series_key = 0;
 };
 
 struct ChangePointResult {
@@ -162,7 +113,7 @@ struct CandidateEvaluation {
 /// Fits candidate `t_cp` (kNoChangePoint = the no-intervention model)
 /// exactly as ChangePointDetector::AicAt would: one fit per candidate
 /// kind, keeping the criterion-best. Pure function of its arguments —
-/// no detector state, no shared memo, no metrics registry writes
+/// no detector state, no metrics registry writes
 /// (options.fit.metrics is ignored; deltas come back in the result) —
 /// so concurrent calls over different candidates are safe and
 /// bit-deterministic.
@@ -231,7 +182,7 @@ class ChangePointDetector {
   //   }
   //   result = detector.FinishSearch();
   //
-  // All detector-side effects (fit counts, metrics, memo publication)
+  // All detector-side effects (fit counts, metrics, memo entries)
   // happen inside SupplyEvaluation/FinishSearch on the supplying
   // thread, in the exact order the serial algorithms would have
   // produced them — a search driven this way is bit- and
@@ -288,7 +239,7 @@ class ChangePointDetector {
   /// pending_ — when a fit is needed.
   std::optional<Result<double>> MachineAicAt(int t_cp);
 
-  /// Whether a search would have to fit `t_cp` (no cache, no memo).
+  /// Whether a search would have to fit `t_cp` (not yet memoized).
   /// Counter-neutral, unlike MachineAicAt.
   bool NeedsEvaluation(int t_cp) const;
 
@@ -350,7 +301,6 @@ class ChangePointDetector {
   // points at the per-algorithm evaluation counter of the search
   // currently running.
   obs::Counter* pruned_counter_ = nullptr;
-  obs::Counter* shared_memo_counter_ = nullptr;
   obs::Counter* evaluations_counter_ = nullptr;
   obs::Counter* exact_counter_ = nullptr;
   obs::Counter* approximate_counter_ = nullptr;

@@ -1,7 +1,10 @@
 #include "ssm/kalman.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
+#include <string>
 
 namespace mic::ssm {
 namespace {
@@ -10,109 +13,276 @@ constexpr double kLogTwoPi = 1.8378770664093453;
 
 bool IsMissing(double x) { return std::isnan(x); }
 
-// RQR' is constant across a pass; computed into ws.rqr via ws scratch.
-void ComputeRqrInto(const StateSpaceModel& model, KalmanWorkspace& ws) {
-  la::MultiplyInto(model.selection, model.state_noise, &ws.tmp_matrix);
-  la::TransposeInto(model.selection, &ws.tmp_matrix2);
-  la::MultiplyInto(ws.tmp_matrix, ws.tmp_matrix2, &ws.rqr);
-}
-
-// next_covariance <- T * source * T' + rqr, symmetrized.
-void PredictCovariance(KalmanWorkspace& ws, const la::Matrix& source) {
-  ws.transition.TimesMatrix(source, &ws.tmp_matrix);
-  ws.transition.MatrixTimesTranspose(ws.tmp_matrix, &ws.next_covariance);
-  ws.next_covariance += ws.rqr;
-  ws.next_covariance.Symmetrize();
-}
-
-// covariance <- T * source * T' + rqr, symmetrized.
-void AdvanceCovariance(KalmanWorkspace& ws, const la::Matrix& source) {
-  PredictCovariance(ws, source);
-  std::swap(ws.covariance, ws.next_covariance);
-}
-
-}  // namespace
-
-void SparseTransition::Assign(const la::Matrix& transition) {
-  const std::size_t dim = transition.rows();
-  row_begin_.assign(1, 0);
-  cols_.clear();
-  values_.clear();
-  for (std::size_t r = 0; r < dim; ++r) {
-    for (std::size_t c = 0; c < dim; ++c) {
-      if (transition(r, c) == 0.0) continue;
-      cols_.push_back(c);
-      values_.push_back(transition(r, c));
-    }
-    row_begin_.push_back(cols_.size());
+// The thread's heap buffers, sized for a pass at `dim` (resizing reuses
+// their allocations).
+KalmanBuffers<0>& BorrowHeap(KalmanWorkspace& ws, std::size_t dim) {
+  ++ws.acquires;
+  KalmanBuffers<0>& b = ws.heap;
+  for (auto* v : {&b.z, &b.a, &b.pz, &b.steady_pz, &b.tmp}) v->resize(dim);
+  for (auto* m :
+       {&b.p, &b.filtered_p, &b.tmp_p, &b.next_p, &b.rqr, &b.t_values}) {
+    m->resize(dim * dim);
   }
+  b.t_row_begin.resize(dim + 1);
+  b.t_cols.resize(dim * dim);
+  return b;
 }
 
-void SparseTransition::TimesVector(const la::Vector& v,
-                                   la::Vector* out) const {
-  const std::size_t dim = row_begin_.size() - 1;
-  out->Resize(dim);
-  for (std::size_t r = 0; r < dim; ++r) {
+// Loop bound of a pass: the compile-time dimension, or the runtime one
+// at Dim == 0.
+template <std::size_t Dim>
+std::size_t Bound(std::size_t dim) {
+  return Dim > 0 ? Dim : dim;
+}
+
+// The products of a pass, over flat row-major buffers, follow. Outputs
+// are __restrict (no output overlaps an input), which keeps the loops
+// free of run-time overlap checks and library copy calls. T enters
+// through its sparse rows (KalmanBuffers::t_row_begin, t_cols,
+// t_values).
+struct SparseRows {
+  const std::uint32_t* row_begin;
+  const std::uint32_t* cols;
+  const double* values;
+};
+
+template <std::size_t Dim>
+double Dot(std::size_t dim, const double* u, const double* v) {
+  double total = 0.0;
+  for (std::size_t i = 0; i < Bound<Dim>(dim); ++i) total += u[i] * v[i];
+  return total;
+}
+
+// out <- m z.
+template <std::size_t Dim>
+void TimesZ(std::size_t dim, const double* m, const double* z,
+            double* __restrict out) {
+  const std::size_t n = Bound<Dim>(dim);
+  for (std::size_t r = 0; r < n; ++r) out[r] = Dot<Dim>(n, m + r * n, z);
+}
+
+// out <- T v.
+template <std::size_t Dim>
+void TransitionTimesVector(const SparseRows& t, std::size_t dim,
+                           const double* v, double* __restrict out) {
+  for (std::size_t r = 0; r < Bound<Dim>(dim); ++r) {
     double total = 0.0;
-    for (std::size_t i = row_begin_[r]; i < row_begin_[r + 1]; ++i) {
-      total += values_[i] * v[cols_[i]];
+    for (std::size_t i = t.row_begin[r]; i < t.row_begin[r + 1]; ++i) {
+      total += t.values[i] * v[t.cols[i]];
     }
-    (*out)[r] = total;
+    out[r] = total;
   }
 }
 
-void SparseTransition::TimesMatrix(const la::Matrix& m,
-                                   la::Matrix* out) const {
-  const std::size_t dim = row_begin_.size() - 1;
-  out->Resize(dim, dim);
-  for (std::size_t r = 0; r < dim; ++r) {
-    for (std::size_t i = row_begin_[r]; i < row_begin_[r + 1]; ++i) {
-      const double t_rk = values_[i];
-      const std::size_t k = cols_[i];
-      for (std::size_t c = 0; c < dim; ++c) (*out)(r, c) += t_rk * m(k, c);
+// next <- T source T' + RQR', symmetrized. T·source accumulates row by
+// row into `tp`; (T·source)·T' one output column at a time.
+template <std::size_t Dim>
+void PredictCovariance(const SparseRows& t, std::size_t dim,
+                       const double* rqr, const double* source,
+                       double* __restrict tp, double* __restrict heap_column,
+                       double* __restrict next) {
+  const std::size_t n = Bound<Dim>(dim);
+  std::fill_n(tp, n * n, 0.0);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t i = t.row_begin[r]; i < t.row_begin[r + 1]; ++i) {
+      const double t_rk = t.values[i];
+      const double* source_k = source + t.cols[i] * n;
+      for (std::size_t c = 0; c < n; ++c) tp[r * n + c] += t_rk * source_k[c];
+    }
+  }
+  for (std::size_t c = 0; c < n; ++c) {
+    // One output column's running sums: a local array at compiled
+    // dimensions, so they can stay in registers; `heap_column` at
+    // Dim == 0.
+    std::array<double, Dim> local_column{};
+    double* column = Dim > 0 ? local_column.data() : heap_column;
+    if constexpr (Dim == 0) std::fill_n(column, n, 0.0);
+    for (std::size_t i = t.row_begin[c]; i < t.row_begin[c + 1]; ++i) {
+      const double t_ck = t.values[i];
+      const double* tp_k = tp + t.cols[i];
+      for (std::size_t r = 0; r < n; ++r) column[r] += tp_k[r * n] * t_ck;
+    }
+    for (std::size_t r = 0; r < n; ++r) next[r * n + c] = column[r];
+  }
+  for (std::size_t i = 0; i < n * n; ++i) next[i] += rqr[i];
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = r + 1; c < n; ++c) {
+      const double avg = 0.5 * (next[r * n + c] + next[c * n + r]);
+      next[r * n + c] = avg;
+      next[c * n + r] = avg;
     }
   }
 }
 
-void SparseTransition::MatrixTimesTranspose(const la::Matrix& m,
-                                            la::Matrix* out) const {
-  const std::size_t dim = row_begin_.size() - 1;
-  out->Resize(dim, dim);
-  for (std::size_t r = 0; r < dim; ++r) {
-    for (std::size_t c = 0; c < dim; ++c) {
-      double total = 0.0;
-      for (std::size_t i = row_begin_[c]; i < row_begin_[c + 1]; ++i) {
-        total += m(r, cols_[i]) * values_[i];
+// The filter's state a_{t|t-1}, P_{t|t-1} with the pass constants (sparse
+// T, RQR') and the per-step scratch, over KalmanBuffers<Dim>. Dim > 0
+// fixes every loop bound at compile time; Dim == 0 reads the dimension
+// from the model. Each product accumulates in one fixed order, the same
+// at either storage.
+template <std::size_t Dim>
+class KalmanState {
+ public:
+  KalmanState(const StateSpaceModel& model, KalmanWorkspace& ws)
+      : dim_(model.state_dim()) {
+    if constexpr (Dim == 0) heap_ = &BorrowHeap(ws, dim_);
+    const std::size_t dim = this->dim();
+    // RQR' through the la:: products, so its bits match theirs.
+    la::MultiplyInto(model.selection, model.state_noise, &ws.rq);
+    la::TransposeInto(model.selection, &ws.selection_t);
+    la::MultiplyInto(ws.rq, ws.selection_t, &ws.rqr);
+    std::uint32_t nonzeros = 0;
+    b().t_row_begin[0] = 0;
+    for (std::size_t r = 0; r < dim; ++r) {
+      for (std::size_t c = 0; c < dim; ++c) {
+        b().rqr[r * dim + c] = ws.rqr(r, c);
+        b().p[r * dim + c] = model.initial_covariance(r, c);
+        const double t_rc = model.transition(r, c);
+        if (t_rc == 0.0) continue;
+        b().t_cols[nonzeros] = static_cast<std::uint32_t>(c);
+        b().t_values[nonzeros] = t_rc;
+        ++nonzeros;
       }
-      (*out)(r, c) = total;
+      b().t_row_begin[r + 1] = nonzeros;
+      b().a[r] = model.initial_state[r];
+      b().z[r] = model.observation[r];
     }
   }
-}
 
-std::string_view KalmanKernelName(KalmanKernel kernel) {
-  switch (kernel) {
-    case KalmanKernel::kAuto:
-      return "auto";
-    case KalmanKernel::kDynamic:
-      return "dynamic";
-    case KalmanKernel::kFixed:
-      return "fixed";
+  std::size_t dim() const { return Bound<Dim>(dim_); }
+
+  // z <- Z_t; only time-varying entries move between steps.
+  void Observe(const StateSpaceModel& model, std::size_t t) {
+    if (model.time_varying.empty()) return;
+    for (std::size_t i = 0; i < dim(); ++i) b().z[i] = model.observation[i];
+    for (const TimeVaryingObservation& entry : model.time_varying) {
+      if (t < entry.values.size()) b().z[entry.state_index] = entry.values[t];
+    }
   }
-  return "?";
-}
 
-KalmanWorkspace& KalmanWorkspace::ThreadLocal() {
-  static thread_local KalmanWorkspace workspace;
-  return workspace;
-}
+  // z'v.
+  double ZDot(const double* v) const { return Dot<Dim>(dim_, z(), v); }
 
-Result<FilterResult> RunFilter(const StateSpaceModel& model,
-                               const std::vector<double>& observations,
-                               const KalmanOptions& options) {
-  MIC_RETURN_IF_ERROR(model.Validate());
+  // pz <- P z, or steady_pz <- next_P z when the recursion has settled.
+  void ComputePz() { TimesZ<Dim>(dim_, p(), z(), b().pz.data()); }
+  void ComputeSteadyPz() {
+    TimesZ<Dim>(dim_, b().next_p.data(), z(), b().steady_pz.data());
+  }
+
+  // Measurement then time update of a mean: v <- T (v + pz * gain).
+  void UpdateMean(double* __restrict v, const double* pz, double gain) {
+    for (std::size_t i = 0; i < dim(); ++i) v[i] += pz[i] * gain;
+    AdvanceMean(v);
+  }
+
+  // Time update of a mean alone (missing month): v <- T v.
+  void AdvanceMean(double* __restrict v) {
+    double* tv = b().tmp.data();
+    TransitionTimesVector<Dim>(Transition(), dim_, v, tv);
+    for (std::size_t i = 0; i < dim(); ++i) v[i] = tv[i];
+  }
+
+  // Measurement update of the covariance: filtered_p <- P - pz pz' / f.
+  void UpdateCovariance(double f) {
+    Downdate(b().p.data(), b().pz.data(), f, b().filtered_p.data());
+  }
+
+  // Time update of the covariance: next_p <- T P T' + RQR' from the
+  // filtered P, or (`missing`) from P itself.
+  void PredictCovariance(bool missing) {
+    ssm::PredictCovariance<Dim>(
+        Transition(), dim_, b().rqr.data(),
+        missing ? b().p.data() : b().filtered_p.data(), b().tmp_p.data(),
+        b().tmp.data(), b().next_p.data());
+  }
+
+  // Whether max|next_p - P| is within `tolerance` of max|P|.
+  bool Converged(double tolerance) const {
+    double max_change = 0.0;
+    double scale = 0.0;
+    for (std::size_t i = 0; i < dim() * dim(); ++i) {
+      max_change = std::max(max_change, std::fabs(b().next_p[i] - b().p[i]));
+      scale = std::max(scale, std::fabs(b().p[i]));
+    }
+    return max_change <= tolerance * std::max(scale, 1e-300);
+  }
+
+  // P <- next_p.
+  void AcceptCovariance() {
+    if constexpr (Dim > 0) {
+      b().p = b().next_p;
+    } else {
+      std::swap(b().p, b().next_p);
+    }
+  }
+
+  la::Vector StateVector() const {
+    return la::Vector(std::vector<double>(a(), a() + dim()));
+  }
+
+  la::Matrix CovarianceMatrix() const {
+    la::Matrix out(dim(), dim());
+    std::copy_n(p(), dim() * dim(), &out(0, 0));
+    return out;
+  }
+
+  double* a() { return b().a.data(); }
+  const double* a() const { return b().a.data(); }
+  const double* z() const { return b().z.data(); }
+  const double* p() const { return b().p.data(); }
+  const double* pz() const { return b().pz.data(); }
+  const double* steady_pz() const { return b().steady_pz.data(); }
+
+ private:
+  void Downdate(const double* p, const double* pz, double f,
+                double* __restrict out) const {
+    const std::size_t dim = this->dim();
+    for (std::size_t r = 0; r < dim; ++r) {
+      for (std::size_t c = 0; c < dim; ++c) {
+        out[r * dim + c] = p[r * dim + c] - pz[r] * pz[c] / f;
+      }
+    }
+  }
+
+  SparseRows Transition() const {
+    return {b().t_row_begin.data(), b().t_cols.data(), b().t_values.data()};
+  }
+
+  // Compiled dimensions name the stack buffers directly.
+  KalmanBuffers<Dim>& b() {
+    if constexpr (Dim > 0) {
+      return own_;
+    } else {
+      return *heap_;
+    }
+  }
+  const KalmanBuffers<Dim>& b() const {
+    return const_cast<KalmanState*>(this)->b();
+  }
+
+  // The stack buffers at compiled dimensions (empty at Dim == 0), and
+  // the workspace's at Dim == 0.
+  KalmanBuffers<Dim> own_{};
+  KalmanBuffers<0>* heap_ = nullptr;
+  std::size_t dim_;
+};
+
+// The one filter pass behind RunFilter, RunFilterWithRegression and
+// RunFilterWithRegressors. The K regressor series w_k share the gain
+// sequence of x: only their state means differ, and their innovations
+// feed the GLS sums ws.s_ww (K x K, row-major) and ws.s_wx (K) on the
+// likelihood terms x uses. The steady-state shortcut applies only when
+// K = 0.
+template <std::size_t Dim>
+Status FilterPass(const StateSpaceModel& model,
+                  const std::vector<double>& observations,
+                  std::span<const std::vector<double>> w,
+                  const KalmanOptions& options, KalmanWorkspace& ws,
+                  FilterResult& result) {
   const std::size_t n = observations.size();
+  const std::size_t k = w.size();
+  KalmanState<Dim> state(model, ws);
+  const std::size_t dim = state.dim();
 
-  FilterResult result;
   result.predictions.resize(n);
   result.prediction_variances.resize(n);
   result.innovations.resize(n);
@@ -120,15 +290,12 @@ Result<FilterResult> RunFilter(const StateSpaceModel& model,
     result.predicted_states.reserve(n);
     result.predicted_covariances.reserve(n);
   }
-
-  // All per-step temporaries live in the thread's workspace; the only
-  // allocations left in this pass are the result vectors above.
-  KalmanWorkspace& ws = KalmanWorkspace::ThreadLocal();
-  ++ws.acquires;
-  ComputeRqrInto(model, ws);
-  ws.transition.Assign(model.transition);
-  ws.state = model.initial_state;                // a_{t|t-1}
-  ws.covariance = model.initial_covariance;      // P_{t|t-1}
+  ws.regressor_means.assign(k * dim, 0.0);
+  ws.regressor_innovations.assign(k, 0.0);
+  ws.s_ww.assign(k * k, 0.0);
+  ws.s_wx.assign(k, 0.0);
+  double* means_w = ws.regressor_means.data();
+  double* v_w = ws.regressor_innovations.data();
 
   int skipped_diffuse = 0;
   double log_likelihood = 0.0;
@@ -142,222 +309,146 @@ Result<FilterResult> RunFilter(const StateSpaceModel& model,
   // amortize the per-step convergence test on short windows (the
   // transient scales roughly with dim^2 for the coupled seasonal
   // states).
-  const std::size_t dim = model.state_dim();
-  const bool may_go_steady = options.allow_steady_state &&
+  const bool may_go_steady = k == 0 && options.allow_steady_state &&
                              model.time_varying.empty() &&
-                             !options.store_states &&
-                             n >= dim * dim + 20;
+                             !options.store_states && n >= dim * dim + 20;
   bool steady = false;
   double steady_variance = 0.0;
 
   for (std::size_t t = 0; t < n; ++t) {
-    model.ObservationVectorInto(t, &ws.z);
-    const la::Vector& z = ws.z;
+    state.Observe(model, t);
     if (options.store_states) {
-      result.predicted_states.push_back(ws.state);
-      result.predicted_covariances.push_back(ws.covariance);
+      result.predicted_states.push_back(state.StateVector());
+      result.predicted_covariances.push_back(state.CovarianceMatrix());
     }
 
-    if (!steady) la::MultiplyInto(ws.covariance, z, &ws.pz);
-    const la::Vector& pz = steady ? ws.steady_pz : ws.pz;
-    const double prediction = la::Dot(z, ws.state);
+    if (!steady) state.ComputePz();
+    const double* pz = steady ? state.steady_pz() : state.pz();
+    const double prediction = state.ZDot(state.a());
     const double prediction_variance =
-        steady ? steady_variance
-               : la::Dot(z, pz) + model.observation_variance;
+        steady ? steady_variance : state.ZDot(pz) + model.observation_variance;
     result.predictions[t] = prediction;
     result.prediction_variances[t] = prediction_variance;
 
     const double x = observations[t];
-    if (IsMissing(x)) {
+    const bool missing = IsMissing(x);
+    if (missing) {
       result.innovations[t] = std::numeric_limits<double>::quiet_NaN();
       // No update; just predict forward. A gap invalidates the steady
       // state (the covariance grows through it).
-      ws.transition.TimesVector(ws.state, &ws.tmp_vector);
-      std::swap(ws.state, ws.tmp_vector);
-      if (steady) {
-        steady = false;
-      }
-      AdvanceCovariance(ws, ws.covariance);
-      continue;
-    }
-
-    if (!(prediction_variance > 0.0) ||
-        !std::isfinite(prediction_variance)) {
-      return Status::NumericError(
-          "non-positive prediction variance at t=" + std::to_string(t));
-    }
-
-    const double innovation = x - prediction;
-    result.innovations[t] = innovation;
-
-    if (prediction_variance > options.diffuse_variance_threshold) {
-      ++skipped_diffuse;
+      state.AdvanceMean(state.a());
+      for (std::size_t j = 0; j < k; ++j) state.AdvanceMean(means_w + j * dim);
+      steady = false;
     } else {
-      log_likelihood -=
-          0.5 * (kLogTwoPi + std::log(prediction_variance) +
-                 innovation * innovation / prediction_variance);
-      ++effective;
-    }
-
-    // Measurement update then time update.
-    const double gain_scale = innovation / prediction_variance;
-    ws.filtered = ws.state;
-    for (std::size_t i = 0; i < ws.filtered.size(); ++i) {
-      ws.filtered[i] += pz[i] * gain_scale;
-    }
-    ws.transition.TimesVector(ws.filtered, &ws.tmp_vector);
-    std::swap(ws.state, ws.tmp_vector);
-    if (steady) continue;  // Covariance frozen.
-
-    ws.filtered_covariance = ws.covariance;
-    for (std::size_t r = 0; r < ws.filtered_covariance.rows(); ++r) {
-      for (std::size_t c = 0; c < ws.filtered_covariance.cols(); ++c) {
-        ws.filtered_covariance(r, c) -=
-            pz[r] * pz[c] / prediction_variance;
+      if (!(prediction_variance > 0.0) ||
+          !std::isfinite(prediction_variance)) {
+        return Status::NumericError(
+            "non-positive prediction variance at t=" + std::to_string(t));
       }
-    }
-    PredictCovariance(ws, ws.filtered_covariance);
-    if (may_go_steady) {
-      // Max-abs of (next - current) without forming the difference;
-      // identical to the matrix-difference form value by value.
-      double max_change = 0.0;
-      for (std::size_t r = 0; r < dim; ++r) {
-        for (std::size_t c = 0; c < dim; ++c) {
-          max_change = std::max(
-              max_change, std::fabs(ws.next_covariance(r, c) -
-                                    ws.covariance(r, c)));
+
+      const double innovation = x - prediction;
+      result.innovations[t] = innovation;
+      for (std::size_t j = 0; j < k; ++j) {
+        v_w[j] = w[j][t] - state.ZDot(means_w + j * dim);
+      }
+
+      if (prediction_variance > options.diffuse_variance_threshold) {
+        ++skipped_diffuse;
+      } else {
+        log_likelihood -=
+            0.5 * (kLogTwoPi + std::log(prediction_variance) +
+                   innovation * innovation / prediction_variance);
+        ++effective;
+        for (std::size_t i = 0; i < k; ++i) {
+          ws.s_wx[i] += v_w[i] * innovation / prediction_variance;
+          for (std::size_t j = 0; j < k; ++j) {
+            ws.s_ww[i * k + j] += v_w[i] * v_w[j] / prediction_variance;
+          }
         }
       }
-      const double scale = std::max(ws.covariance.MaxAbs(), 1e-300);
-      if (max_change <= options.steady_state_tolerance * scale) {
-        steady = true;
-        la::MultiplyInto(ws.next_covariance, z, &ws.steady_pz);
-        steady_variance =
-            la::Dot(z, ws.steady_pz) + model.observation_variance;
+
+      // Measurement update then time update.
+      state.UpdateMean(state.a(), pz, innovation / prediction_variance);
+      for (std::size_t j = 0; j < k; ++j) {
+        state.UpdateMean(means_w + j * dim, pz, v_w[j] / prediction_variance);
       }
+      if (steady) continue;  // Covariance frozen.
+      state.UpdateCovariance(prediction_variance);
     }
-    std::swap(ws.covariance, ws.next_covariance);
+
+    state.PredictCovariance(missing);
+    if (!missing && may_go_steady &&
+        state.Converged(options.steady_state_tolerance)) {
+      steady = true;
+      state.ComputeSteadyPz();
+      steady_variance =
+          state.ZDot(state.steady_pz()) + model.observation_variance;
+    }
+    state.AcceptCovariance();
   }
 
   result.log_likelihood = log_likelihood;
   result.effective_observations = effective;
   result.skipped_diffuse = skipped_diffuse;
-  result.final_state = ws.state;
-  result.final_covariance = ws.covariance;
+  result.final_state = state.StateVector();
+  result.final_covariance = state.CovarianceMatrix();
+  return Status::OK();
+}
+
+// Validates and runs the pass on the storage of the model's dimension.
+Status RunPass(const StateSpaceModel& model,
+               const std::vector<double>& observations,
+               std::span<const std::vector<double>> regressors,
+               const KalmanOptions& options, KalmanWorkspace& ws,
+               FilterResult& result) {
+  for (const auto& regressor : regressors) {
+    if (regressor.size() < observations.size()) {
+      return Status::InvalidArgument(
+          "regressor shorter than the observations");
+    }
+  }
+  MIC_RETURN_IF_ERROR(model.Validate());
+  switch (model.state_dim()) {
+    case 1:
+      return FilterPass<1>(model, observations, regressors, options, ws,
+                             result);
+    case 5:
+      return FilterPass<5>(model, observations, regressors, options, ws,
+                             result);
+    case 12:
+      return FilterPass<12>(model, observations, regressors, options, ws,
+                             result);
+    default:
+      return FilterPass<0>(model, observations, regressors, options, ws,
+                             result);
+  }
+}
+
+}  // namespace
+
+KalmanWorkspace& KalmanWorkspace::ThreadLocal() {
+  static thread_local KalmanWorkspace workspace;
+  return workspace;
+}
+
+Result<FilterResult> RunFilter(const StateSpaceModel& model,
+                               const std::vector<double>& observations,
+                               const KalmanOptions& options) {
+  FilterResult result;
+  MIC_RETURN_IF_ERROR(RunPass(model, observations, {}, options,
+                              KalmanWorkspace::ThreadLocal(), result));
   return result;
 }
 
 Result<RegressionFilterResult> RunFilterWithRegression(
     const StateSpaceModel& model, const std::vector<double>& observations,
     const std::vector<double>& regressor, const KalmanOptions& options) {
-  if (regressor.size() < observations.size()) {
-    return Status::InvalidArgument(
-        "regressor shorter than the observations");
-  }
-  MIC_RETURN_IF_ERROR(model.Validate());
-  const std::size_t n = observations.size();
-
-  RegressionFilterResult result;
-  FilterResult& base = result.base;
-  base.predictions.resize(n);
-  base.prediction_variances.resize(n);
-  base.innovations.resize(n);
-  if (options.store_states) {
-    base.predicted_states.reserve(n);
-    base.predicted_covariances.reserve(n);
-  }
-
-  // One fused pass: the gain sequence depends only on the covariance
-  // recursion, so the observation series x and the regressor series w
-  // share P and F; only the state means differ. state/filtered hold the
-  // x recursion, state_aux/filtered_aux the w recursion.
   KalmanWorkspace& ws = KalmanWorkspace::ThreadLocal();
-  ++ws.acquires;
-  ComputeRqrInto(model, ws);
-  ws.transition.Assign(model.transition);
-  ws.state = model.initial_state;
-  ws.state_aux.Resize(model.state_dim());
-  ws.covariance = model.initial_covariance;
-
-  double log_likelihood = 0.0;
-  int effective = 0;
-  int skipped_diffuse = 0;
-  double s_ww = 0.0;
-  double s_wx = 0.0;
-
-  for (std::size_t t = 0; t < n; ++t) {
-    model.ObservationVectorInto(t, &ws.z);
-    const la::Vector& z = ws.z;
-    if (options.store_states) {
-      base.predicted_states.push_back(ws.state);
-      base.predicted_covariances.push_back(ws.covariance);
-    }
-
-    la::MultiplyInto(ws.covariance, z, &ws.pz);
-    const la::Vector& pz = ws.pz;
-    const double prediction_x = la::Dot(z, ws.state);
-    const double prediction_variance =
-        la::Dot(z, pz) + model.observation_variance;
-    base.predictions[t] = prediction_x;
-    base.prediction_variances[t] = prediction_variance;
-
-    const double x = observations[t];
-    if (IsMissing(x)) {
-      base.innovations[t] = std::numeric_limits<double>::quiet_NaN();
-      ws.transition.TimesVector(ws.state, &ws.tmp_vector);
-      std::swap(ws.state, ws.tmp_vector);
-      ws.transition.TimesVector(ws.state_aux, &ws.tmp_vector);
-      std::swap(ws.state_aux, ws.tmp_vector);
-      AdvanceCovariance(ws, ws.covariance);
-      continue;
-    }
-    if (!(prediction_variance > 0.0) ||
-        !std::isfinite(prediction_variance)) {
-      return Status::NumericError(
-          "non-positive prediction variance at t=" + std::to_string(t));
-    }
-
-    const double v_x = x - prediction_x;
-    const double v_w = regressor[t] - la::Dot(z, ws.state_aux);
-    base.innovations[t] = v_x;
-
-    if (prediction_variance > options.diffuse_variance_threshold) {
-      ++skipped_diffuse;
-    } else {
-      log_likelihood -=
-          0.5 * (kLogTwoPi + std::log(prediction_variance) +
-                 v_x * v_x / prediction_variance);
-      ++effective;
-      s_ww += v_w * v_w / prediction_variance;
-      s_wx += v_w * v_x / prediction_variance;
-    }
-
-    // Shared measurement + time update.
-    const double gain_x = v_x / prediction_variance;
-    const double gain_w = v_w / prediction_variance;
-    ws.filtered = ws.state;
-    ws.filtered_aux = ws.state_aux;
-    for (std::size_t i = 0; i < ws.filtered.size(); ++i) {
-      ws.filtered[i] += pz[i] * gain_x;
-      ws.filtered_aux[i] += pz[i] * gain_w;
-    }
-    ws.filtered_covariance = ws.covariance;
-    for (std::size_t r = 0; r < ws.filtered_covariance.rows(); ++r) {
-      for (std::size_t c = 0; c < ws.filtered_covariance.cols(); ++c) {
-        ws.filtered_covariance(r, c) -=
-            pz[r] * pz[c] / prediction_variance;
-      }
-    }
-    ws.transition.TimesVector(ws.filtered, &ws.state);
-    ws.transition.TimesVector(ws.filtered_aux, &ws.state_aux);
-    AdvanceCovariance(ws, ws.filtered_covariance);
-  }
-
-  base.log_likelihood = log_likelihood;
-  base.effective_observations = effective;
-  base.skipped_diffuse = skipped_diffuse;
-  base.final_state = ws.state;
-  base.final_covariance = ws.covariance;
+  RegressionFilterResult result;
+  MIC_RETURN_IF_ERROR(RunPass(model, observations, {&regressor, 1}, options,
+                              ws, result.base));
+  const double s_ww = ws.s_ww[0];
+  const double s_wx = ws.s_wx[0];
   if (s_ww > 1e-12) {
     result.identified = true;
     result.lambda = s_wx / s_ww;
@@ -377,124 +468,18 @@ Result<MultiRegressionFilterResult> RunFilterWithRegressors(
     const StateSpaceModel& model, const std::vector<double>& observations,
     const std::vector<std::vector<double>>& regressors,
     const KalmanOptions& options) {
-  const std::size_t k = regressors.size();
-  for (const auto& regressor : regressors) {
-    if (regressor.size() < observations.size()) {
-      return Status::InvalidArgument(
-          "regressor shorter than the observations");
-    }
-  }
-  MIC_RETURN_IF_ERROR(model.Validate());
-  const std::size_t n = observations.size();
-  const std::size_t dim = model.state_dim();
-
-  MultiRegressionFilterResult result;
-  FilterResult& base = result.base;
-  base.predictions.resize(n);
-  base.prediction_variances.resize(n);
-  base.innovations.resize(n);
-
-  // The shared z/pz/covariance recursion borrows the workspace like the
-  // plain filter; only the K per-regressor state means stay per-call
-  // (their count varies with the query, not the thread).
   KalmanWorkspace& ws = KalmanWorkspace::ThreadLocal();
-  ++ws.acquires;
-  ComputeRqrInto(model, ws);
-  ws.transition.Assign(model.transition);
-  ws.state = model.initial_state;
-  std::vector<la::Vector> state_w(k, la::Vector(dim));
-  ws.covariance = model.initial_covariance;
-
-  double log_likelihood = 0.0;
-  int effective = 0;
-  int skipped_diffuse = 0;
-  la::Matrix s_ww(k, k);
-  la::Vector s_wx(k);
-  std::vector<double> v_w(k);
-
-  for (std::size_t t = 0; t < n; ++t) {
-    model.ObservationVectorInto(t, &ws.z);
-    const la::Vector& z = ws.z;
-    la::MultiplyInto(ws.covariance, z, &ws.pz);
-    const la::Vector& pz = ws.pz;
-    const double prediction_x = la::Dot(z, ws.state);
-    const double prediction_variance =
-        la::Dot(z, pz) + model.observation_variance;
-    base.predictions[t] = prediction_x;
-    base.prediction_variances[t] = prediction_variance;
-
-    const double x = observations[t];
-    if (IsMissing(x)) {
-      base.innovations[t] = std::numeric_limits<double>::quiet_NaN();
-      ws.transition.TimesVector(ws.state, &ws.tmp_vector);
-      std::swap(ws.state, ws.tmp_vector);
-      for (auto& state : state_w) {
-        ws.transition.TimesVector(state, &ws.tmp_vector);
-        std::swap(state, ws.tmp_vector);
-      }
-      AdvanceCovariance(ws, ws.covariance);
-      continue;
-    }
-    if (!(prediction_variance > 0.0) ||
-        !std::isfinite(prediction_variance)) {
-      return Status::NumericError(
-          "non-positive prediction variance at t=" + std::to_string(t));
-    }
-
-    const double v_x = x - prediction_x;
-    base.innovations[t] = v_x;
-    for (std::size_t j = 0; j < k; ++j) {
-      v_w[j] = regressors[j][t] - la::Dot(z, state_w[j]);
-    }
-
-    if (prediction_variance > options.diffuse_variance_threshold) {
-      ++skipped_diffuse;
-    } else {
-      log_likelihood -=
-          0.5 * (kLogTwoPi + std::log(prediction_variance) +
-                 v_x * v_x / prediction_variance);
-      ++effective;
-      for (std::size_t a = 0; a < k; ++a) {
-        s_wx[a] += v_w[a] * v_x / prediction_variance;
-        for (std::size_t b = 0; b < k; ++b) {
-          s_ww(a, b) += v_w[a] * v_w[b] / prediction_variance;
-        }
-      }
-    }
-
-    const double gain_x = v_x / prediction_variance;
-    ws.filtered = ws.state;
-    for (std::size_t i = 0; i < dim; ++i) {
-      ws.filtered[i] += pz[i] * gain_x;
-    }
-    for (std::size_t j = 0; j < k; ++j) {
-      const double gain_w = v_w[j] / prediction_variance;
-      for (std::size_t i = 0; i < dim; ++i) {
-        state_w[j][i] += pz[i] * gain_w;
-      }
-      ws.transition.TimesVector(state_w[j], &ws.tmp_vector);
-      std::swap(state_w[j], ws.tmp_vector);
-    }
-    ws.filtered_covariance = ws.covariance;
-    for (std::size_t r = 0; r < dim; ++r) {
-      for (std::size_t c = 0; c < dim; ++c) {
-        ws.filtered_covariance(r, c) -=
-            pz[r] * pz[c] / prediction_variance;
-      }
-    }
-    ws.transition.TimesVector(ws.filtered, &ws.state);
-    AdvanceCovariance(ws, ws.filtered_covariance);
-  }
-
-  base.log_likelihood = log_likelihood;
-  base.effective_observations = effective;
-  base.skipped_diffuse = skipped_diffuse;
-  base.final_state = ws.state;
-  base.final_covariance = ws.covariance;
-
+  MultiRegressionFilterResult result;
+  MIC_RETURN_IF_ERROR(
+      RunPass(model, observations, regressors, options, ws, result.base));
+  const std::size_t k = regressors.size();
+  const double log_likelihood = result.base.log_likelihood;
   result.lambdas.assign(k, 0.0);
   result.profiled_log_likelihood = log_likelihood;
   if (k > 0) {
+    la::Matrix s_ww(k, k);
+    std::copy(ws.s_ww.begin(), ws.s_ww.end(), &s_ww(0, 0));
+    const la::Vector s_wx(ws.s_wx);
     // Ridge-free solve; singular (collinear regressors / unidentified
     // coefficients) leaves the result unidentified.
     auto solution = la::CholeskySolve(s_ww, s_wx);

@@ -8,8 +8,10 @@
 #ifndef MICTREND_SSM_KALMAN_H_
 #define MICTREND_SSM_KALMAN_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/result.h"
@@ -17,20 +19,6 @@
 #include "ssm/model.h"
 
 namespace mic::ssm {
-
-/// Which filter implementation a fit runs on. The dynamic path works
-/// for any state dimension; the fixed path (kalman_fixed.h) is a
-/// compile-time specialization for the structural model's small fixed
-/// dimensions (flat stack arrays, no heap) that is bit-exact with the
-/// dynamic path. kAuto picks fixed whenever the model's dimension has a
-/// compiled kernel.
-enum class KalmanKernel : int {
-  kAuto = 0,
-  kDynamic = 1,
-  kFixed = 2,
-};
-
-std::string_view KalmanKernelName(KalmanKernel kernel);
 
 /// Output of one filtering pass.
 struct FilterResult {
@@ -61,39 +49,37 @@ struct FilterResult {
   la::Matrix final_covariance;
 };
 
-/// Nonzeros of a transition matrix T, row by row, each row in
-/// increasing column order (compressed sparse rows). Every filter body
-/// forms T·a, T·P and (T·P)·T' from this table instead of dense loops
-/// over all dim^2 entries; the dummy-seasonal T has 22 nonzeros out of
-/// 144. The products are bit-identical to their dense forms: for finite
-/// operands a skipped exact-zero term leaves the running sum unchanged
-/// (the sum starts at +0.0 and can never become -0.0, so adding a
-/// signed zero is a no-op), and the remaining terms accumulate in the
-/// same increasing-column order.
-class SparseTransition {
- public:
-  /// Rebuilds the table from a square T, reusing the buffers.
-  void Assign(const la::Matrix& transition);
+/// The flat row-major buffers one filter pass works in. For the state
+/// dimensions the structural models produce (1, 5, 12) the pass keeps
+/// them on the stack as std::arrays sized at compile time; every other
+/// dimension (ARIMA, odd harmonic counts) borrows the Dim = 0 form, heap
+/// vectors held by the thread's KalmanWorkspace.
+template <std::size_t Dim>
+struct KalmanBuffers {
+  template <std::size_t N, typename T = double>
+  using Buffer = std::conditional_t<Dim == 0, std::vector<T>, std::array<T, N>>;
 
-  /// out <- T v.
-  void TimesVector(const la::Vector& v, la::Vector* out) const;
-  /// out <- T m.
-  void TimesMatrix(const la::Matrix& m, la::Matrix* out) const;
-  /// out <- m T'.
-  void MatrixTimesTranspose(const la::Matrix& m, la::Matrix* out) const;
-
- private:
-  std::vector<std::size_t> row_begin_;  // dim + 1 offsets into cols_/values_
-  std::vector<std::size_t> cols_;
-  std::vector<double> values_;
+  Buffer<Dim> z, a, pz, steady_pz, tmp;
+  Buffer<Dim * Dim> p, filtered_p, tmp_p, next_p, rqr;
+  /// Nonzeros of T, row by row, each row in increasing column order
+  /// (compressed sparse rows). T·a, T·P and (T·P)·T' are formed from
+  /// this table instead of dense loops over all dim^2 entries; the
+  /// dummy-seasonal T has 22 nonzeros out of 144. The products are
+  /// bit-identical to their dense forms: for finite operands a skipped
+  /// exact-zero term leaves the running sum unchanged (the sum starts at
+  /// +0.0 and can never become -0.0, so adding a signed zero is a
+  /// no-op), and the remaining terms accumulate in the same
+  /// increasing-column order.
+  Buffer<Dim + 1, std::uint32_t> t_row_begin;
+  Buffer<Dim * Dim, std::uint32_t> t_cols;
+  Buffer<Dim * Dim> t_values;
 };
 
-/// Per-thread scratch buffers for the filter hot loops. A filter pass
-/// over a dim-d state touches ~6 d x d temporaries per step; borrowing
-/// them from a thread_local workspace instead of allocating turns the
-/// steady-state cost into pure arithmetic. All in-place kernels used
-/// with these buffers preserve the operator form's accumulation order,
-/// so workspace reuse never changes a bit of any filter output.
+/// Per-thread scratch for the filter passes: the heap buffers of passes
+/// at dimensions without compiled storage, and the per-regressor means
+/// and GLS sums of regression passes (their count varies with the query).
+/// Borrowing them instead of allocating turns the steady-state cost of a
+/// pass into pure arithmetic; reuse never changes a bit of any output.
 ///
 /// The filter functions borrow the workspace internally — callers never
 /// pass one. ThreadLocal() is exposed for tests and for the `acquires`
@@ -103,15 +89,13 @@ class KalmanWorkspace {
   /// This thread's workspace (created on first use).
   static KalmanWorkspace& ThreadLocal();
 
-  /// Filter passes that borrowed this workspace (test hook).
+  /// Filter passes that ran on the heap buffers below (test hook).
   std::uint64_t acquires = 0;
 
-  // Scratch buffers (internal to the filter implementations).
-  la::Vector z, pz, steady_pz, state, state_aux, filtered, filtered_aux,
-      tmp_vector;
-  SparseTransition transition;
-  la::Matrix rqr, covariance, filtered_covariance, next_covariance,
-      tmp_matrix, tmp_matrix2;
+  // Scratch buffers (internal to the filter implementation).
+  KalmanBuffers<0> heap;
+  la::Matrix rq, selection_t, rqr;
+  std::vector<double> regressor_means, regressor_innovations, s_ww, s_wx;
 };
 
 struct KalmanOptions {

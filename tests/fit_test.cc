@@ -1,6 +1,7 @@
 #include "ssm/fit.h"
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -83,6 +84,32 @@ TEST(FitTest, AicAccountsForParameters) {
   EXPECT_GT(StructuralAic(-100.0, full), StructuralAic(-100.0, ll));
   EXPECT_DOUBLE_EQ(StructuralAic(-100.0, ll), 200.0 + 2.0 * 3.0);
   EXPECT_DOUBLE_EQ(StructuralAic(-100.0, full), 200.0 + 2.0 * 16.0);
+}
+
+TEST(FitTest, FitOptionsValidateReportsFieldPaths) {
+  FitOptions options;
+  EXPECT_TRUE(options.Validate().ok());
+
+  options.restarts = -1;
+  auto invalid = options.Validate();
+  EXPECT_FALSE(invalid.ok());
+  EXPECT_NE(invalid.message().find("fit.restarts"), std::string::npos);
+
+  options = FitOptions{};
+  options.optimizer.max_evaluations = 0;
+  EXPECT_NE(options.Validate().message().find(
+                "fit.optimizer.max_evaluations"),
+            std::string::npos);
+
+  options = FitOptions{};
+  options.optimizer.tolerance = 0.0;
+  EXPECT_NE(options.Validate().message().find("fit.optimizer.tolerance"),
+            std::string::npos);
+
+  options = FitOptions{};
+  options.optimizer.initial_step = -0.5;
+  EXPECT_NE(options.Validate().message().find("fit.optimizer.initial_step"),
+            std::string::npos);
 }
 
 TEST(FitTest, TooShortSeriesIsRejected) {

@@ -1,15 +1,18 @@
-// Dense-reference contract of the Kalman filter bodies. The filters
-// form T·a, T·P and (T·P)·T' from a sparse table of T's nonzeros; this
-// test carries its own textbook filter that builds T·P·T' + RQR' and T·a
-// with plain dense loops over every entry, and requires the fixed and
-// dynamic paths to match it bit for bit. kalman_fixed_test only checks
-// fixed == dynamic, which cannot catch both paths drifting together.
+// Dense-reference contract of the Kalman filter. The filter forms T·a,
+// T·P and (T·P)·T' from a sparse table of T's nonzeros; this test
+// carries its own textbook filter that builds T·P·T' + RQR' and T·a
+// with plain dense loops over every entry, and requires RunFilter,
+// RunFilterWithRegression and RunFilterWithRegressors to match it bit
+// for bit.
 //
 // Covered: the local level model (dim 1), two trigonometric harmonics
-// (dim 5), the dummy seasonal model (dim 12) and the dynamic-only
-// one-harmonic model (dim 3); RunFilter, RunFilterWithRegression and
-// RunFilterWithRegressors; series with and without missing months,
-// long enough for the steady-state shortcut where the dimension allows.
+// (dim 5) and the dummy seasonal model (dim 12), which run on
+// compile-time stack storage, and the one-harmonic model (dim 3), which
+// runs on the workspace's heap storage; series with and without missing
+// months; the steady-state shortcut (a 220-month series takes even dim
+// 12 into it); the per-step states and covariances store_states keeps
+// for the smoother; and the regression outputs lambda,
+// lambda_variance and the profiled log-likelihood.
 
 #include <algorithm>
 #include <bit>
@@ -22,7 +25,6 @@
 
 #include "common/rng.h"
 #include "ssm/kalman.h"
-#include "ssm/kalman_fixed.h"
 #include "ssm/structural.h"
 
 namespace mic::ssm {
@@ -155,8 +157,14 @@ struct ReferenceResult {
   std::vector<double> innovations;
   std::vector<double> final_state;
   Dense final_covariance;
+  // Per-step a_{t|t-1} and P_{t|t-1} (store_states).
+  std::vector<std::vector<double>> predicted_states;
+  std::vector<Dense> predicted_covariances;
+  // Whether the steady-state shortcut engaged.
+  bool went_steady = false;
   // Regression outputs (lambda_hat per regressor).
   std::vector<double> lambdas;
+  double lambda_variance = 0.0;
   double profiled_log_likelihood = 0.0;
 };
 
@@ -172,12 +180,16 @@ ReferenceResult ReferenceFilter(const StateSpaceModel& model,
   Dense p = InitialCovariance(model);
   const bool may_go_steady = options.allow_steady_state &&
                              model.time_varying.empty() &&
-                             n >= dim * dim + 20;
+                             !options.store_states && n >= dim * dim + 20;
   bool steady = false;
   std::vector<double> steady_pz;
   double steady_f = 0.0;
   for (std::size_t t = 0; t < n; ++t) {
     const std::vector<double> z = model.ObservationVector(t).data();
+    if (options.store_states) {
+      out.predicted_states.push_back(a);
+      out.predicted_covariances.push_back(p);
+    }
     const std::vector<double> pz = steady ? steady_pz : DenseTimes(p, z);
     const double prediction = DenseDot(z, a);
     const double f =
@@ -214,6 +226,7 @@ ReferenceResult ReferenceFilter(const StateSpaceModel& model,
       if (max_change <=
           options.steady_state_tolerance * std::max(scale, 1e-300)) {
         steady = true;
+        out.went_steady = true;
         steady_pz = DenseTimes(next, z);
         steady_f = DenseDot(z, steady_pz) + model.observation_variance;
       }
@@ -243,6 +256,10 @@ ReferenceResult ReferenceRegressors(
   std::vector<double> v_w(k);
   for (std::size_t t = 0; t < x.size(); ++t) {
     const std::vector<double> z = model.ObservationVector(t).data();
+    if (options.store_states) {
+      out.predicted_states.push_back(a);
+      out.predicted_covariances.push_back(p);
+    }
     const std::vector<double> pz = DenseTimes(p, z);
     const double prediction = DenseDot(z, a);
     const double f = DenseDot(z, pz) + model.observation_variance;
@@ -284,8 +301,10 @@ ReferenceResult ReferenceRegressors(
   out.profiled_log_likelihood = out.log_likelihood;
   if (k == 1) {
     // RunFilterWithRegression's scalar form.
+    out.lambda_variance = std::numeric_limits<double>::infinity();
     if (s_ww(0, 0) > 1e-12) {
       out.lambdas = {s_wx[0] / s_ww(0, 0)};
+      out.lambda_variance = 1.0 / s_ww(0, 0);
       out.profiled_log_likelihood +=
           0.5 * s_wx[0] * s_wx[0] / s_ww(0, 0);
     }
@@ -333,13 +352,29 @@ void ExpectMatchesReference(const FilterResult& got,
                      want.final_covariance[r * dim + c], "final_covariance");
     }
   }
+  ASSERT_EQ(got.predicted_states.size(), want.predicted_states.size());
+  ASSERT_EQ(got.predicted_covariances.size(),
+            want.predicted_covariances.size());
+  for (std::size_t t = 0; t < want.predicted_states.size(); ++t) {
+    ExpectSameBits(got.predicted_states[t].data(), want.predicted_states[t],
+                   "predicted_states");
+    const la::Matrix& p = got.predicted_covariances[t];
+    ASSERT_EQ(p.rows(), dim);
+    ASSERT_EQ(p.cols(), dim);
+    for (std::size_t r = 0; r < dim; ++r) {
+      for (std::size_t c = 0; c < dim; ++c) {
+        ExpectSameBits(p(r, c), want.predicted_covariances[t][r * dim + c],
+                       "predicted_covariances");
+      }
+    }
+  }
 }
 
 // --- Models and series. ------------------------------------------------
 
-// 1 = level only, 3 = level + one trig harmonic (no compiled kernel),
+// 1 = level only, 3 = level + one trig harmonic (heap storage),
 // 5 = level + two trig harmonics, 12 = level + period-12 dummy seasonal.
-StateSpaceModel ModelForDim(int dim) {
+StateSpaceModel ModelForDim(int dim, double seasonal_variance = 0.03) {
   StructuralSpec spec;
   spec.seasonal = dim > 1;
   if (dim == 3 || dim == 5) {
@@ -349,7 +384,7 @@ StateSpaceModel ModelForDim(int dim) {
   StructuralVariances variances;
   variances.observation = 0.9;
   variances.level = 0.2;
-  variances.seasonal = 0.03;
+  variances.seasonal = seasonal_variance;
   auto model = BuildStructuralModel(spec, variances);
   EXPECT_TRUE(model.ok()) << model.status();
   EXPECT_EQ(model->state_dim(), static_cast<std::size_t>(dim));
@@ -373,27 +408,18 @@ std::vector<double> MakeSeries(int n, std::uint64_t seed, bool with_gap) {
 
 constexpr int kDims[] = {1, 3, 5, 12};
 
-// The same model through the dispatch fits use (fixed kernel where one
-// is compiled) and through the dynamic path.
-constexpr KalmanKernel kKernels[] = {KalmanKernel::kAuto,
-                                     KalmanKernel::kDynamic};
-
 TEST(KalmanReferenceTest, FilterMatchesDenseReference) {
   for (int dim : kDims) {
     const StateSpaceModel model = ModelForDim(dim);
     for (bool with_gap : {false, true}) {
-      // 60 months: long enough for the steady-state shortcut at dims 1
-      // and 5 (n >= dim^2 + 20), with or without missing months.
+      SCOPED_TRACE(testing::Message() << "dim " << dim << " gap " << with_gap);
+      // 60 months: long enough for the steady-state shortcut at dims 1,
+      // 3 and 5 (n >= dim^2 + 20), with or without missing months.
       const auto series = MakeSeries(60, 11 + dim, with_gap);
       const ReferenceResult want = ReferenceFilter(model, series);
-      for (KalmanKernel kernel : kKernels) {
-        SCOPED_TRACE(testing::Message()
-                     << "dim " << dim << " gap " << with_gap << " kernel "
-                     << KalmanKernelName(kernel));
-        auto got = RunFilterKernel(kernel, model, series);
-        ASSERT_TRUE(got.ok()) << got.status();
-        ExpectMatchesReference(*got, want);
-      }
+      auto got = RunFilter(model, series);
+      ASSERT_TRUE(got.ok()) << got.status();
+      ExpectMatchesReference(*got, want);
     }
   }
 }
@@ -402,16 +428,57 @@ TEST(KalmanReferenceTest, FilterMatchesDenseReferenceWithoutSteadyState) {
   KalmanOptions options;
   options.allow_steady_state = false;
   for (int dim : kDims) {
+    SCOPED_TRACE(testing::Message() << "dim " << dim);
     const StateSpaceModel model = ModelForDim(dim);
     const auto series = MakeSeries(43, 23 + dim, /*with_gap=*/true);
     const ReferenceResult want = ReferenceFilter(model, series, options);
-    for (KalmanKernel kernel : kKernels) {
-      SCOPED_TRACE(testing::Message() << "dim " << dim << " kernel "
-                                      << KalmanKernelName(kernel));
-      auto got = RunFilterKernel(kernel, model, series, options);
+    auto got = RunFilter(model, series, options);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ExpectMatchesReference(*got, want);
+  }
+}
+
+TEST(KalmanReferenceTest, LongSeriesReachSteadyStateAtEveryDimension) {
+  // 220 months clear n >= dim^2 + 20 at dim 12 too, and a strong
+  // seasonal variance lets the dim-12 covariance settle by month ~134,
+  // so every storage takes the shortcut; with it disabled, the full
+  // recursion runs.
+  for (int dim : kDims) {
+    const StateSpaceModel model = ModelForDim(dim, /*seasonal_variance=*/10.0);
+    const auto series = MakeSeries(220, 31 + dim, /*with_gap=*/false);
+    for (bool allow : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "dim " << dim << " steady " << allow);
+      KalmanOptions options;
+      options.allow_steady_state = allow;
+      const ReferenceResult want = ReferenceFilter(model, series, options);
+      EXPECT_EQ(want.went_steady, allow);
+      auto got = RunFilter(model, series, options);
       ASSERT_TRUE(got.ok()) << got.status();
       ExpectMatchesReference(*got, want);
     }
+  }
+}
+
+TEST(KalmanReferenceTest, StoredStatesMatchDenseReference) {
+  // The smoother reads these per-step a_{t|t-1} and P_{t|t-1}.
+  KalmanOptions options;
+  options.store_states = true;
+  for (int dim : kDims) {
+    const StateSpaceModel model = ModelForDim(dim);
+    const auto series = MakeSeries(60, 37 + dim, /*with_gap=*/true);
+    SCOPED_TRACE(testing::Message() << "dim " << dim);
+    const ReferenceResult want = ReferenceFilter(model, series, options);
+    ASSERT_EQ(want.predicted_states.size(), series.size());
+    auto got = RunFilter(model, series, options);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ExpectMatchesReference(*got, want);
+
+    const auto regressor = SlopeShiftRegressor(20, 60);
+    const ReferenceResult want_w =
+        ReferenceRegressors(model, series, {regressor}, options);
+    auto got_w = RunFilterWithRegression(model, series, regressor, options);
+    ASSERT_TRUE(got_w.ok()) << got_w.status();
+    ExpectMatchesReference(got_w->base, want_w);
   }
 }
 
@@ -419,25 +486,21 @@ TEST(KalmanReferenceTest, RegressionMatchesDenseReference) {
   for (int dim : kDims) {
     const StateSpaceModel model = ModelForDim(dim);
     for (bool with_gap : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "dim " << dim << " gap " << with_gap);
       const auto series = MakeSeries(43, 47 + dim, with_gap);
       const auto regressor = SlopeShiftRegressor(20, 43);
       const ReferenceResult want =
           ReferenceRegressors(model, series, {regressor});
       ASSERT_EQ(want.lambdas.size(), 1u);
-      for (KalmanKernel kernel : kKernels) {
-        SCOPED_TRACE(testing::Message()
-                     << "dim " << dim << " gap " << with_gap << " kernel "
-                     << KalmanKernelName(kernel));
-        auto got =
-            RunFilterWithRegressionKernel(kernel, model, series, regressor);
-        ASSERT_TRUE(got.ok()) << got.status();
-        ExpectMatchesReference(got->base, want);
-        ASSERT_TRUE(got->identified);
-        ExpectSameBits(got->lambda, want.lambdas[0], "lambda");
-        ExpectSameBits(got->profiled_log_likelihood,
-                       want.profiled_log_likelihood,
-                       "profiled_log_likelihood");
-      }
+      auto got = RunFilterWithRegression(model, series, regressor);
+      ASSERT_TRUE(got.ok()) << got.status();
+      ExpectMatchesReference(got->base, want);
+      ASSERT_TRUE(got->identified);
+      ExpectSameBits(got->lambda, want.lambdas[0], "lambda");
+      ExpectSameBits(got->lambda_variance, want.lambda_variance,
+                     "lambda_variance");
+      ExpectSameBits(got->profiled_log_likelihood,
+                     want.profiled_log_likelihood, "profiled_log_likelihood");
     }
   }
 }
@@ -446,6 +509,7 @@ TEST(KalmanReferenceTest, RegressorsMatchDenseReference) {
   for (int dim : kDims) {
     const StateSpaceModel model = ModelForDim(dim);
     for (bool with_gap : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "dim " << dim << " gap " << with_gap);
       const auto series = MakeSeries(43, 59 + dim, with_gap);
       const std::vector<std::vector<double>> regressors = {
           InterventionRegressor({15, InterventionKind::kSlopeShift}, 43),
@@ -453,21 +517,32 @@ TEST(KalmanReferenceTest, RegressorsMatchDenseReference) {
       const ReferenceResult want =
           ReferenceRegressors(model, series, regressors);
       ASSERT_EQ(want.lambdas.size(), 2u);
-      for (KalmanKernel kernel : kKernels) {
-        SCOPED_TRACE(testing::Message()
-                     << "dim " << dim << " gap " << with_gap << " kernel "
-                     << KalmanKernelName(kernel));
-        auto got =
-            RunFilterWithRegressorsKernel(kernel, model, series, regressors);
-        ASSERT_TRUE(got.ok()) << got.status();
-        ExpectMatchesReference(got->base, want);
-        ASSERT_TRUE(got->identified);
-        ExpectSameBits(got->lambdas, want.lambdas, "lambdas");
-        ExpectSameBits(got->profiled_log_likelihood,
-                       want.profiled_log_likelihood,
-                       "profiled_log_likelihood");
-      }
+      auto got = RunFilterWithRegressors(model, series, regressors);
+      ASSERT_TRUE(got.ok()) << got.status();
+      ExpectMatchesReference(got->base, want);
+      ASSERT_TRUE(got->identified);
+      ExpectSameBits(got->lambdas, want.lambdas, "lambdas");
+      ExpectSameBits(got->profiled_log_likelihood,
+                     want.profiled_log_likelihood, "profiled_log_likelihood");
     }
+  }
+}
+
+TEST(KalmanReferenceTest, NoRegressorsIsThePlainFilter) {
+  for (int dim : kDims) {
+    SCOPED_TRACE(testing::Message() << "dim " << dim);
+    const StateSpaceModel model = ModelForDim(dim);
+    const auto series = MakeSeries(43, 67 + dim, /*with_gap=*/true);
+    auto plain = RunFilter(model, series);
+    auto empty = RunFilterWithRegressors(model, series, {});
+    ASSERT_TRUE(plain.ok()) << plain.status();
+    ASSERT_TRUE(empty.ok()) << empty.status();
+    EXPECT_TRUE(empty->identified);
+    EXPECT_TRUE(empty->lambdas.empty());
+    ExpectSameBits(empty->base.log_likelihood, plain->log_likelihood,
+                   "log_likelihood");
+    ExpectSameBits(empty->profiled_log_likelihood, plain->log_likelihood,
+                   "profiled_log_likelihood");
   }
 }
 
@@ -476,7 +551,7 @@ TEST(KalmanReferenceTest, ReferenceDistinguishesADifferentTransition) {
   // move the reference off the library's answer.
   StateSpaceModel model = ModelForDim(12);
   const auto series = MakeSeries(43, 71, /*with_gap=*/true);
-  auto got = RunFilterKernel(KalmanKernel::kAuto, model, series);
+  auto got = RunFilter(model, series);
   ASSERT_TRUE(got.ok()) << got.status();
   model.transition(1, 1) = -1.0 + 1e-9;
   const ReferenceResult perturbed = ReferenceFilter(model, series);

@@ -1,6 +1,9 @@
 #include "medmodel/series_io.h"
 
+#include <bit>
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -21,7 +24,13 @@ SeriesSet MakeSet(Catalog& catalog) {
 
 TEST(SeriesIoTest, RoundTripPreservesAllViews) {
   Catalog catalog;
-  const SeriesSet original = MakeSet(catalog);
+  SeriesSet original = MakeSet(catalog);
+  // Values whose shortest exact text needs up to 17 significant digits.
+  const DiseaseId cold = catalog.diseases().Intern("cold");
+  const MedicineId syrup = catalog.medicines().Intern("syrup");
+  original.Add(cold, syrup, 0, 0.1 + 0.2);
+  original.Add(cold, syrup, 1, 1.0 / 3);
+  original.Add(cold, syrup, 3, 1e-300);
   std::ostringstream out;
   ASSERT_TRUE(WriteSeriesCsv(original, catalog, out).ok());
 
@@ -30,9 +39,9 @@ TEST(SeriesIoTest, RoundTripPreservesAllViews) {
   auto read_back = ReadSeriesCsv(in, fresh);
   ASSERT_TRUE(read_back.ok());
   EXPECT_EQ(read_back->num_months(), 4);
-  EXPECT_EQ(read_back->num_pairs(), 2u);
-  EXPECT_EQ(read_back->num_diseases(), 2u);
-  EXPECT_EQ(read_back->num_medicines(), 2u);
+  EXPECT_EQ(read_back->num_pairs(), 3u);
+  EXPECT_EQ(read_back->num_diseases(), 3u);
+  EXPECT_EQ(read_back->num_medicines(), 3u);
 
   const DiseaseId flu = *fresh.diseases().Lookup("flu");
   const MedicineId antiviral = *fresh.medicines().Lookup("antiviral");
@@ -44,6 +53,42 @@ TEST(SeriesIoTest, RoundTripPreservesAllViews) {
   EXPECT_DOUBLE_EQ(disease[0], 3.5);
   const auto medicine = read_back->Medicine(antiviral);
   EXPECT_DOUBLE_EQ(medicine[2], 1.25);
+
+  // Every view reads back bit for bit.
+  auto expect_same_bits = [](const std::vector<double>& want,
+                             const std::vector<double>& got) {
+    ASSERT_EQ(want.size(), got.size());
+    for (std::size_t t = 0; t < want.size(); ++t) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(want[t]),
+                std::bit_cast<std::uint64_t>(got[t]))
+          << "month " << t << ": " << want[t] << " vs " << got[t];
+    }
+  };
+  original.ForEachPair([&](DiseaseId d, MedicineId m,
+                           const std::vector<double>& values) {
+    expect_same_bits(
+        values,
+        read_back->Prescription(
+            *fresh.diseases().Lookup(catalog.diseases().Name(d)),
+            *fresh.medicines().Lookup(catalog.medicines().Name(m))));
+  });
+  original.ForEachDisease([&](DiseaseId d, const std::vector<double>& values) {
+    expect_same_bits(values, read_back->Disease(*fresh.diseases().Lookup(
+                                 catalog.diseases().Name(d))));
+  });
+  original.ForEachMedicine(
+      [&](MedicineId m, const std::vector<double>& values) {
+        expect_same_bits(values, read_back->Medicine(*fresh.medicines().Lookup(
+                                     catalog.medicines().Name(m))));
+      });
+  const auto syrup_back = read_back->Prescription(
+      *fresh.diseases().Lookup("cold"), *fresh.medicines().Lookup("syrup"));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(syrup_back[0]),
+            std::bit_cast<std::uint64_t>(0.1 + 0.2));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(syrup_back[1]),
+            std::bit_cast<std::uint64_t>(1.0 / 3));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(syrup_back[3]),
+            std::bit_cast<std::uint64_t>(1e-300));
 }
 
 TEST(SeriesIoTest, RejectsBadHeader) {
